@@ -211,8 +211,17 @@ struct LargeSweep {
     wall_secs: f64,
 }
 
+/// Worker-thread count of the `--large` sweep: `REDN_SIM_THREADS`,
+/// clamped to `1..=64`; 1 when unset or unparsable.
+fn threads_from_env() -> usize {
+    std::env::var("REDN_SIM_THREADS")
+        .ok()
+        .and_then(|v| v.trim().parse::<usize>().ok())
+        .map_or(1, |n| n.clamp(1, 64))
+}
+
 fn large_sweep(shards: usize, clients_per_shard: usize, ops_per_client: u64) -> LargeSweep {
-    let threads = SimConfig::threads_from_env();
+    let threads = threads_from_env();
     let cfg = SweepConfig {
         clients: clients_per_shard,
         pipeline_depth: 8,

@@ -1,19 +1,18 @@
-//! Determinism regression suite for the event-engine overhaul.
+//! Determinism regression suite for the event engine.
 //!
 //! The engine's contract is that simulated results are a pure function of
-//! the program — not of lane count, worker threads, or allocator state.
-//! This suite runs the tier-1 calibration set (Fig 7/8 points, Tables
-//! 1/3/4), a serving-fleet throughput row, and a cluster failover run
-//! under a 1-lane and an N-lane event queue, and asserts the rendered
-//! results are byte-identical. A separate test drives a traced multi-verb
-//! scenario through both lane configs and compares the raw event traces.
+//! the program: the event order is `(time, seq)` with `seq` assigned at
+//! scheduling, so nothing per-process or per-thread — std `HashMap`
+//! seeds, heap addresses, allocator state — may reach it. This suite
+//! runs the tier-1 calibration set (Fig 7/8 points, Tables 1/3/4), a
+//! serving-fleet throughput row, and a cluster failover run twice in one
+//! process, the second time on a freshly spawned thread, and asserts the
+//! rendered results are byte-identical. A separate test does the same
+//! with the raw event trace of a multi-verb scenario.
 //!
-//! Everything runs in one `#[test]` per concern because the lane default
-//! comes from `REDN_SIM_THREADS`, read at `SimConfig::default()` — the
-//! env var is process-global, so each test sets it around a full pass
-//! rather than interleaving (`cargo test` runs tests in threads; these
-//! are the only tests in this binary that touch the variable, and they
-//! serialize on a mutex).
+//! Each std `HashMap` draws its own random seed (a fresh thread draws
+//! fresh keys), so any hash-iteration order that leaked into event
+//! scheduling would make the two passes diverge.
 
 use redn_bench::clusterbench::{failover_point, ClusterSweepConfig};
 use redn_bench::micro::{fig7, fig8, table1, table3};
@@ -23,10 +22,13 @@ use rnic_sim::mem::Access;
 use rnic_sim::qp::QpConfig;
 use rnic_sim::sim::Simulator;
 use rnic_sim::wqe::WorkRequest;
-use std::sync::Mutex;
 
-/// Serializes env-var mutation across the tests in this binary.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
+/// Run `pass` here and again on a freshly spawned thread.
+fn here_and_on_fresh_thread<T: Send + 'static>(pass: fn() -> T) -> (T, T) {
+    let here = pass();
+    let there = std::thread::spawn(pass).join().expect("second pass");
+    (here, there)
+}
 
 /// Render one full calibration + serving + failover pass as text.
 fn calibration_pass() -> String {
@@ -63,25 +65,15 @@ fn calibration_pass() -> String {
 }
 
 #[test]
-fn calibration_results_identical_across_lane_counts() {
-    let _guard = ENV_LOCK.lock().unwrap();
-    // SAFETY: single-threaded with respect to other env readers — every
-    // env-touching test in this binary holds ENV_LOCK.
-    unsafe { std::env::set_var("REDN_SIM_THREADS", "1") };
-    assert_eq!(SimConfig::default().lanes, 1);
-    let one = calibration_pass();
-    unsafe { std::env::set_var("REDN_SIM_THREADS", "4") };
-    assert_eq!(SimConfig::default().lanes, 4);
-    let four = calibration_pass();
-    unsafe { std::env::remove_var("REDN_SIM_THREADS") };
-    assert_eq!(one, four, "lane count changed a calibration result");
+fn calibration_results_identical_on_a_fresh_thread() {
+    let (here, there) = here_and_on_fresh_thread(calibration_pass);
+    assert_eq!(here, there, "a calibration result depends on the run");
 }
 
 /// A traced two-node scenario mixing every verb family: WRITE, READ,
 /// SEND/RECV (with an RNR park + retry), FETCH_ADD, and a WAIT chain.
-fn traced_scenario(lanes: usize) -> Vec<String> {
+fn traced_scenario() -> Vec<String> {
     let cfg = SimConfig {
-        lanes,
         trace: true,
         ..SimConfig::default()
     };
@@ -130,7 +122,8 @@ fn traced_scenario(lanes: usize) -> Vec<String> {
         .trace()
         .events()
         .iter()
-        .map(|(t, ev)| format!("{t:?} {ev:?}"))
+        // Exact picoseconds: `Time`'s Debug rounds to nanoseconds.
+        .map(|(t, ev)| format!("{}ps {ev:?}", t.as_ps()))
         .collect();
     lines.push(format!("events={}", sim.events_processed()));
     lines.push(format!("cqes_a={}", sim.poll_cq(cq_a, 64).len()));
@@ -139,15 +132,11 @@ fn traced_scenario(lanes: usize) -> Vec<String> {
 }
 
 #[test]
-fn event_trace_identical_across_lane_counts() {
-    let _guard = ENV_LOCK.lock().unwrap();
-    let one = traced_scenario(1);
-    for lanes in [2, 4, 8] {
-        let n = traced_scenario(lanes);
-        assert_eq!(one, n, "trace diverged at lanes={lanes}");
-    }
+fn event_trace_identical_on_a_fresh_thread() {
+    let (here, there) = here_and_on_fresh_thread(traced_scenario);
+    assert_eq!(here, there, "the event trace depends on the run");
     assert!(
-        one.iter().any(|l| l.contains("MemWrite")),
+        here.iter().any(|l| l.contains("MemWrite")),
         "trace actually recorded memory traffic"
     );
 }

@@ -85,10 +85,19 @@ pub struct PutSession {
     req: MemoryRegion,
     ack: MemoryRegion,
     client: NodeId,
-    /// (instance, key) per SEND posted on `qp`, indexed by wqe_index.
-    sent: Vec<(u64, u64)>,
-    /// Send indices already resolved (acked or failed).
-    resolved: Vec<bool>,
+    /// The unresolved put in each window slot (`None` once acked or
+    /// failed). Acks and send failures arrive in window order, so a slot
+    /// is free again by the time the window hands it out.
+    in_slot: Vec<Option<SentPut>>,
+}
+
+/// A posted, not yet resolved PUT.
+#[derive(Clone, Copy, Debug)]
+struct SentPut {
+    instance: u64,
+    key: u64,
+    /// Index of its SEND on the client QP (send-side failures carry it).
+    wqe_index: u64,
 }
 
 impl PutSession {
@@ -162,8 +171,7 @@ impl PutSession {
             req,
             ack,
             client,
-            sent: Vec::new(),
-            resolved: Vec::new(),
+            in_slot: vec![None; depth as usize],
         })
     }
 
@@ -176,25 +184,27 @@ impl PutSession {
     /// full), stamps `seq = instance + 1`, and SENDs the record. Returns
     /// the claimed instance.
     pub fn put(&mut self, sim: &mut Simulator, key: u64, value: &[u8]) -> Result<u64> {
-        let inst = self.repl.take_instance()?;
-        let slot = self.repl.response_tag(inst) as u64;
+        let inst = self.repl.window_mut().take()?;
+        let slot = self.repl.window().slot(inst);
         let rec = encode_record(inst + 1, key, value, self.repl.value_len());
         let rec_len = self.repl.record_len();
         let addr = self.req.addr + slot * rec_len as u64;
         sim.mem_write(self.client, addr, &rec)?;
-        let idx = sim.post_send(
+        let wqe_index = sim.post_send(
             self.qp,
             WorkRequest::send(addr, self.req.lkey, rec_len).signaled(),
         )?;
-        debug_assert_eq!(idx as usize, self.sent.len());
-        self.sent.push((inst, key));
-        self.resolved.push(false);
+        self.in_slot[slot as usize] = Some(SentPut {
+            instance: inst,
+            key,
+            wqe_index,
+        });
         Ok(inst)
     }
 
     /// Window slots currently in flight.
     pub fn in_flight(&self) -> u64 {
-        self.repl.pipeline_depth() as u64 - self.repl.instances_available()
+        self.repl.window().in_flight()
     }
 
     /// Drain both CQs: acks from the recv side, typed failures from the
@@ -214,19 +224,14 @@ impl PutSession {
                 continue;
             }
             let inst = seq - 1;
-            if let Some(pos) = self
-                .sent
-                .iter()
-                .position(|&(i, _)| i == inst)
-                .filter(|&p| !self.resolved[p])
-            {
-                self.resolved[pos] = true;
-                let key = self.sent[pos].1;
+            let slot = self.repl.window().slot(inst);
+            let entry = &mut self.in_slot[slot as usize];
+            if let Some(SentPut { key, .. }) = entry.filter(|p| p.instance == inst) {
+                *entry = None;
                 // State-machine apply: the acked record (still in its
                 // request slot — the window frees it only below) goes
                 // into the shard's read index.
                 let rec_len = self.repl.record_len() as u64;
-                let slot = u64::from(self.repl.response_tag(inst));
                 let value = sim
                     .mem_read(
                         self.client,
@@ -246,24 +251,25 @@ impl PutSession {
                     key,
                     at: cqe.time,
                 });
-                self.repl.complete_instance();
+                self.repl.window_mut().retire();
             }
         }
         for cqe in sim.poll_cq(self.send_cq, 64) {
             if cqe.status == CqeStatus::Success {
                 continue;
             }
-            let pos = cqe.wqe_index as usize;
-            if pos < self.sent.len() && !self.resolved[pos] {
-                self.resolved[pos] = true;
-                let (instance, key) = self.sent[pos];
+            let failed = self
+                .in_slot
+                .iter_mut()
+                .find(|p| p.is_some_and(|p| p.wqe_index == cqe.wqe_index));
+            if let Some(SentPut { instance, key, .. }) = failed.and_then(Option::take) {
                 out.failures.push(PutFailure {
                     instance,
                     key,
                     status: cqe.status,
                     at: cqe.time,
                 });
-                self.repl.complete_instance();
+                self.repl.window_mut().retire();
             }
         }
         out

@@ -121,10 +121,11 @@ impl HashGetBuilder {
     /// restore chain, FETCH_ADD threshold fix-ups, a cyclic trigger-RECV
     /// ring — and the NIC re-arms everything itself between rounds. After
     /// this call the host never posts, never rings a doorbell, and never
-    /// pushes pool bytes for this offload again; it only claims slots
-    /// ([`HashGetOffload::take_instance`]) and retires them
-    /// ([`HashGetOffload::complete_instance`]) as responses drain. Runs
-    /// unbounded until halted or the simulation ends.
+    /// pushes pool bytes for this offload again; it only claims and
+    /// retires instances in the offload's
+    /// [`InstanceWindow`](crate::offloads::window::InstanceWindow) as
+    /// responses drain. Runs unbounded until halted or the simulation
+    /// ends.
     ///
     /// Probes run back-to-back on one ring, so `Parallel` is rejected —
     /// use `Sequential` for two-candidate tables.

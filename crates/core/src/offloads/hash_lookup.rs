@@ -41,6 +41,8 @@ use crate::encode::{operand48, WqeField};
 use crate::ir::analysis::Footprint;
 use crate::ir::{DeployOpts, EnableTarget, Kind, Loc, OpBuild, PassReport, SgeSpec, WaitCond};
 use crate::offloads::rpc::TriggerPoint;
+use crate::offloads::service::OffloadService;
+use crate::offloads::window::InstanceWindow;
 use crate::program::{ChainQueue, ConstPool};
 use rnic_sim::error::{Error, Result};
 use rnic_sim::ids::{NodeId, ProcessId};
@@ -95,9 +97,7 @@ pub struct HashGetOffload {
     /// Client-facing trigger endpoint (responses ride its managed SQ).
     pub tp: TriggerPoint,
     spec: HashGetSpec,
-    /// Instances handed out to in-flight requests (see
-    /// [`HashGetOffload::take_instance`]).
-    posted: u64,
+    window: InstanceWindow,
     /// recv CQ completion count at creation: instance k's trigger WAIT
     /// uses `trigger_base + k + 1` (absolute, monotonic).
     trigger_base: u64,
@@ -122,26 +122,17 @@ enum Backend {
         /// Unmanaged control queues (one per chain) plus a merge queue.
         ctrls: Vec<ChainQueue>,
         merge: ChainQueue,
-        armed: u64,
         /// Content-addressed cache over the pool: once every ring has
         /// wrapped, an instance's resolved SGE tables are byte-identical
         /// to the ones staged a cycle earlier and intern to the same
         /// cells — long host-armed runs stop consuming pool capacity.
         interner: crate::ir::ConstInterner,
     },
-    /// One ring of `slots` instances built at deploy time re-arms itself
-    /// on the NIC every round (§3.4 WQ recycling): zero host work and
-    /// zero pool churn per request.
-    Recycled {
-        /// The probe/control ring (managed, self-enabling).
-        ring: ChainQueue,
-        /// Instances per round (== pipeline depth).
-        slots: u64,
-        /// Responses handed back by the client (frees ring slots).
-        completed: u64,
-        /// Ring slots per round, for round accounting.
-        round_len: u64,
-    },
+    /// One ring of `pipeline_depth` instances built at deploy time
+    /// re-arms itself on the NIC every round (§3.4 WQ recycling): zero
+    /// host work and zero pool churn per request. The window holds the
+    /// ring.
+    Recycled,
 }
 
 impl HashGetOffload {
@@ -193,7 +184,7 @@ impl HashGetOffload {
         Ok(HashGetOffload {
             tp,
             spec,
-            posted: 0,
+            window: InstanceWindow::host_armed(spec.pipeline_depth),
             trigger_base,
             node,
             report: None,
@@ -202,7 +193,6 @@ impl HashGetOffload {
                 chains,
                 ctrls,
                 merge,
-                armed: 0,
                 interner: crate::ir::ConstInterner::new(),
             },
         })
@@ -213,13 +203,6 @@ impl HashGetOffload {
     /// per `arm` call).
     pub fn ir_report(&self) -> Option<PassReport> {
         self.report
-    }
-
-    /// The deployed round's non-interference footprint (`None` for
-    /// host-armed offloads — their instances are staged per `arm` call,
-    /// so the static footprint of one round does not exist).
-    pub fn footprint(&self) -> Option<&Footprint> {
-        self.footprint.as_ref()
     }
 
     /// Optimized WQEs per request (one recycled round divided by its
@@ -235,9 +218,8 @@ impl HashGetOffload {
     /// response images, FETCH_ADDs advancing every WAIT/ENABLE threshold,
     /// a cyclic trigger-RECV ring re-arming the scatter programs. In
     /// steady state the host neither posts, rings doorbells, nor touches
-    /// the constant pool; it only hands out instance slots
-    /// ([`HashGetOffload::take_instance`]) and retires them
-    /// ([`HashGetOffload::complete_instance`]) as responses drain.
+    /// the constant pool; it only claims and retires instances in its
+    /// [`InstanceWindow`] as responses drain.
     ///
     /// Layout per instance `k` on the probe ring (probes run back-to-back
     /// on one managed ring; `wait_prev` supplies the completion-order
@@ -447,17 +429,16 @@ impl HashGetOffload {
         Ok(HashGetOffload {
             tp,
             spec,
-            posted: 0,
+            window: InstanceWindow::recycled(
+                spec.pipeline_depth,
+                lowered.lp.queue.sq,
+                lowered.lp.round_len,
+            ),
             trigger_base,
             node,
             report: Some(lowered.report()),
             footprint: Some(footprint),
-            backend: Backend::Recycled {
-                ring: lowered.lp.queue,
-                slots: k,
-                completed: 0,
-                round_len: lowered.lp.round_len,
-            },
+            backend: Backend::Recycled,
         })
     }
 
@@ -472,11 +453,12 @@ impl HashGetOffload {
     /// new bytes into the pool.
     pub fn arm(&mut self, sim: &mut Simulator, pool: &mut ConstPool) -> Result<()> {
         let resp_depth = sim.wq_depth(sim.sq_of(self.tp.qp));
+        let instance = self.window.armed();
+        let resp_addr = self.response_slot(instance);
         let Backend::HostArmed {
             ref chains,
             ref ctrls,
             merge,
-            armed,
             ..
         } = self.backend
         else {
@@ -484,10 +466,7 @@ impl HashGetOffload {
                 "self-recycling offloads are primed once at deploy; arm() is host-armed only",
             ));
         };
-        let trigger_count = self.trigger_base + armed + 1;
-        let instance = armed;
-        let slot = instance % self.spec.pipeline_depth as u64;
-        let resp_addr = self.spec.dest.addr + slot * self.spec.values.value_len.max(8) as u64;
+        let trigger_count = self.trigger_base + instance + 1;
         let nbuckets = self.spec.variant.buckets();
         let seq_two = self.spec.variant == HashGetVariant::Sequential;
         let probes = if seq_two {
@@ -642,9 +621,7 @@ impl HashGetOffload {
         let table_ref = p.const_ref(trigger_table);
 
         let Backend::HostArmed {
-            ref mut interner,
-            ref mut armed,
-            ..
+            ref mut interner, ..
         } = self.backend
         else {
             unreachable!("checked above");
@@ -665,7 +642,7 @@ impl HashGetOffload {
 
         self.tp
             .post_trigger_recv_prebuilt(sim, table_ref.addr(), n_entries)?;
-        *armed += 1;
+        self.window.note_armed();
         Ok(())
     }
 
@@ -687,108 +664,33 @@ impl HashGetOffload {
         p
     }
 
-    /// Number of armed (not necessarily consumed) instances. A
-    /// self-recycling offload re-arms itself, so its horizon is always
-    /// `posted + instances_available`.
-    pub fn armed(&self) -> u64 {
-        match self.backend {
-            Backend::HostArmed { armed, .. } => armed,
-            Backend::Recycled { .. } => self.posted + self.instances_available(),
-        }
-    }
-
-    /// Whether this offload re-arms itself on the NIC (zero host work per
-    /// request) rather than through host `arm` calls.
-    pub fn is_recycled(&self) -> bool {
-        matches!(self.backend, Backend::Recycled { .. })
-    }
-
-    /// Recycle rounds the probe ring has completed (0 for host-armed
-    /// offloads).
-    pub fn rounds(&self, sim: &Simulator) -> u64 {
-        match self.backend {
-            Backend::Recycled {
-                ring, round_len, ..
-            } => sim.wq_executed(ring.sq) / round_len,
-            Backend::HostArmed { .. } => 0,
-        }
-    }
-
-    /// The immediate a response for `instance` carries: the global
-    /// instance id when host-armed, the ring slot when self-recycling
-    /// (slot images are restored verbatim every round, so the id is
-    /// slot-stable).
-    pub fn response_tag(&self, instance: u64) -> u32 {
-        match self.backend {
-            Backend::HostArmed { .. } => instance as u32,
-            Backend::Recycled { slots, .. } => (instance % slots) as u32,
-        }
-    }
-
     /// The probe variant this offload was deployed with.
     pub fn variant(&self) -> HashGetVariant {
         self.spec.variant
     }
+}
 
-    /// Instances a pipelined client may keep in flight concurrently (the
-    /// `.pipeline_depth(n)` deployment knob; 1 = the synchronous path).
-    pub fn pipeline_depth(&self) -> u32 {
-        self.spec.pipeline_depth
+impl OffloadService for HashGetOffload {
+    fn window(&self) -> &InstanceWindow {
+        &self.window
     }
 
-    /// Byte distance between consecutive client response slots. Matches
-    /// the slot layout of a client response buffer holding
-    /// `pipeline_depth` values (8-byte minimum, as response buffers are).
-    pub fn response_stride(&self) -> u64 {
-        self.spec.values.value_len.max(8) as u64
+    fn window_mut(&mut self) -> &mut InstanceWindow {
+        &mut self.window
     }
 
-    /// Client response-slot address for `instance` (slot `instance %
-    /// pipeline_depth` of the advertised destination buffer).
-    pub fn response_slot(&self, instance: u64) -> u64 {
-        self.spec.dest.addr + (instance % self.spec.pipeline_depth as u64) * self.response_stride()
+    fn arm(&mut self, sim: &mut Simulator, pool: &mut ConstPool) -> Result<()> {
+        HashGetOffload::arm(self, sim, pool)
     }
 
-    /// Claim the next armed instance for a request about to be posted.
-    /// Trigger RECVs are consumed in arming order, so the k-th client
-    /// SEND consumes instance k; this is the host-side half of that
-    /// accounting. Errors when every armed instance already has a request
-    /// in flight (host-armed callers re-arm; recycled callers retire a
-    /// completed instance first — [`HashGetOffload::complete_instance`]).
-    pub fn take_instance(&mut self) -> Result<u64> {
-        if self.instances_available() == 0 {
-            return Err(Error::InvalidWr(
-                "no armed hash-get instance available (re-arm or complete before posting)",
-            ));
-        }
-        let instance = self.posted;
-        self.posted += 1;
-        Ok(instance)
+    /// Slots are `value_len.max(8)` bytes apart, matching a client
+    /// response buffer of `pipeline_depth` values.
+    fn response_slot(&self, instance: u64) -> u64 {
+        self.spec.dest.addr + self.window.slot(instance) * self.spec.values.value_len.max(8) as u64
     }
 
-    /// Retire one in-flight instance of a self-recycling offload — its
-    /// response was reaped (or the request abandoned), so its ring slot
-    /// is free for the next round. Pure host-side accounting: the NIC
-    /// already re-armed the slot itself. No-op for host-armed offloads,
-    /// whose slots are replenished by `arm`.
-    pub fn complete_instance(&mut self) {
-        if let Backend::Recycled {
-            ref mut completed, ..
-        } = self.backend
-        {
-            *completed = (*completed + 1).min(self.posted);
-        }
-    }
-
-    /// Armed instances not yet claimed by
-    /// [`take_instance`](HashGetOffload::take_instance).
-    pub fn instances_available(&self) -> u64 {
-        match self.backend {
-            Backend::HostArmed { armed, .. } => armed - self.posted,
-            Backend::Recycled {
-                slots, completed, ..
-            } => slots - (self.posted - completed),
-        }
+    fn footprint(&self) -> Option<&Footprint> {
+        self.footprint.as_ref()
     }
 }
 
@@ -919,7 +821,7 @@ mod tests {
         let b3 = r.table + 3 * BUCKET_SIZE;
         let got = do_get(&mut r, &mut off, &mut pool, 0xFACE, &[b3]);
         assert_eq!(got, Some(0x1111_2222));
-        assert_eq!(off.armed(), 1);
+        assert_eq!(off.window().armed(), 1);
     }
 
     #[test]
@@ -975,7 +877,7 @@ mod tests {
         assert_eq!(got1, Some(0xA0));
         let got2 = do_get(&mut r, &mut off, &mut pool, 222, &[b1]);
         assert_eq!(got2, Some(0xB0));
-        assert_eq!(off.armed(), 2);
+        assert_eq!(off.window().armed(), 2);
     }
 
     #[test]
@@ -1000,11 +902,11 @@ mod tests {
         for _ in 0..4 {
             off.arm(&mut r.sim, &mut pool).unwrap();
         }
-        assert_eq!(off.instances_available(), 4);
+        assert_eq!(off.window().available(), 4);
         // Four gets posted back-to-back *before* the simulator runs: the
         // pipelined case the synchronous do_get helper can never produce.
         for i in 0..4u64 {
-            assert_eq!(off.take_instance().unwrap(), i);
+            assert_eq!(off.window_mut().take().unwrap(), i);
             r.sim.post_recv(r.cqp, WorkRequest::recv(0, 0, 0)).unwrap();
             let payload = off.client_payload(100 + i, &[r.table + i * BUCKET_SIZE]);
             let src = r.csrc + i * 16;
@@ -1016,8 +918,8 @@ mod tests {
                 )
                 .unwrap();
         }
-        assert_eq!(off.instances_available(), 0);
-        assert!(off.take_instance().is_err());
+        assert_eq!(off.window().available(), 0);
+        assert!(off.window_mut().take().is_err());
         r.sim.run().unwrap();
         let cqes = r.sim.poll_cq(r.crecv_cq, 8);
         assert_eq!(cqes.len(), 4, "all four pipelined responses complete");
@@ -1075,7 +977,7 @@ mod tests {
         key: u64,
         buckets: &[u64],
     ) -> Option<u64> {
-        let instance = off.take_instance().unwrap();
+        let instance = off.window_mut().take().unwrap();
         r.sim.post_recv(r.cqp, WorkRequest::recv(0, 0, 0)).unwrap();
         let payload = off.client_payload(key, buckets);
         r.sim.mem_write(r.client, r.csrc, &payload).unwrap();
@@ -1087,13 +989,13 @@ mod tests {
             .unwrap();
         r.sim.run().unwrap();
         let cqes = r.sim.poll_cq(r.crecv_cq, 8);
-        off.complete_instance();
+        off.window_mut().retire();
         match cqes.first() {
             None => None,
             Some(cqe) => {
                 assert_eq!(
                     cqe.imm,
-                    Some(off.response_tag(instance)),
+                    Some(off.window().tag(instance)),
                     "response immediate must be the slot-stable tag"
                 );
                 let slot = off.response_slot(instance);
@@ -1110,7 +1012,7 @@ mod tests {
         }
         let mut pool = ConstPool::create(&mut r.sim, r.server, 1 << 18, ProcessId(0)).unwrap();
         let mut off = deploy_recycled(&mut r, HashGetVariant::Single, 2, &mut pool);
-        assert!(off.is_recycled());
+        assert!(off.window().is_recycled());
         r.sim.connect_qps(r.cqp, off.tp.qp).unwrap();
         // 8 gets through 2 slots = 4 recycle rounds, zero host re-arms and
         // zero pool churn after the prime.
@@ -1123,7 +1025,8 @@ mod tests {
             assert_eq!(got, Some(0xA0 + g % 8), "get {g}");
         }
         assert_eq!(pool.used(), pool_used, "steady state pushes no pool bytes");
-        assert!(off.rounds(&r.sim) >= 3, "rounds {}", off.rounds(&r.sim));
+        let rounds = off.window().rounds(&r.sim);
+        assert!(rounds >= 3, "rounds {rounds}");
     }
 
     #[test]
@@ -1184,12 +1087,16 @@ mod tests {
         let mut pool = ConstPool::create(&mut r.sim, r.server, 1 << 18, ProcessId(0)).unwrap();
         let mut off = deploy_recycled(&mut r, HashGetVariant::Single, 2, &mut pool);
         r.sim.connect_qps(r.cqp, off.tp.qp).unwrap();
-        let ring = match off.backend {
-            Backend::Recycled { ring, .. } => ring,
-            _ => unreachable!(),
-        };
+        let ring = off
+            .footprint()
+            .expect("recycled offloads publish a footprint")
+            .rings
+            .iter()
+            .find(|span| span.what == "recycled ring")
+            .expect("the probe ring")
+            .addr;
         // Slot 2 is instance 0's trigger WAIT (after the two head FADDs).
-        let wait_operand = ring.slot_addr(2) + WqeField::Operand.offset();
+        let wait_operand = ring + 2 * rnic_sim::wqe::WQE_SIZE + WqeField::Operand.offset();
         let before = r.sim.mem_read_u64(r.server, wait_operand).unwrap();
         let rounds = 3u64;
         let table = r.table;

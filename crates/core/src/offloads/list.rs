@@ -48,6 +48,8 @@ use crate::encode::{operand48, WqeField};
 use crate::ir::analysis::Footprint;
 use crate::ir::{DeployOpts, EnableTarget, Kind, Loc, OpBuild, PassReport, SgeSpec, WaitCond};
 use crate::offloads::rpc::TriggerPoint;
+use crate::offloads::service::OffloadService;
+use crate::offloads::window::InstanceWindow;
 use crate::program::{ChainQueue, ConstPool};
 
 /// Offset of the next pointer in a node.
@@ -89,9 +91,7 @@ pub struct ListWalkOffload {
     /// Client-facing trigger endpoint.
     pub tp: TriggerPoint,
     spec: ListWalkSpec,
-    /// Instances handed out to in-flight requests (see
-    /// [`ListWalkOffload::take_instance`]).
-    posted: u64,
+    window: InstanceWindow,
     /// recv CQ completion count at creation (see hash_lookup).
     trigger_base: u64,
     node: NodeId,
@@ -114,7 +114,6 @@ enum Backend {
         /// the *server's* response ring, so they cannot ride the
         /// client-facing QP, whose one-sided verbs address client memory).
         brk_q: Option<ChainQueue>,
-        armed: u64,
         /// ctrl CQ completion count at deploy. Only the per-iteration R3
         /// WRITEs are signaled on the control queue, so instance `k`'s
         /// `i`-th R3 completes at exactly `ctrl_cqe_base + k*N + i + 1` —
@@ -122,18 +121,10 @@ enum Backend {
         /// before any runs (pipelined arming).
         ctrl_cqe_base: u64,
     },
-    /// One ring of `slots` walk instances built at deploy re-arms itself
-    /// on the NIC every round (§3.4 WQ recycling).
-    Recycled {
-        /// The walk ring (managed, self-enabling).
-        ring: ChainQueue,
-        /// Instances per round (== pipeline depth).
-        slots: u64,
-        /// Responses handed back by the client (frees ring slots).
-        completed: u64,
-        /// Ring slots per round, for round accounting.
-        round_len: u64,
-    },
+    /// One ring of `pipeline_depth` walk instances built at deploy
+    /// re-arms itself on the NIC every round (§3.4 WQ recycling). The
+    /// window holds the ring.
+    Recycled,
 }
 
 impl ListWalkOffload {
@@ -184,7 +175,7 @@ impl ListWalkOffload {
         Ok(ListWalkOffload {
             tp,
             spec,
-            posted: 0,
+            window: InstanceWindow::host_armed(spec.pipeline_depth),
             trigger_base,
             node,
             report: None,
@@ -193,7 +184,6 @@ impl ListWalkOffload {
                 chain,
                 ctrl,
                 brk_q,
-                armed: 0,
                 ctrl_cqe_base,
             },
         })
@@ -203,13 +193,6 @@ impl ListWalkOffload {
     /// round (`None` for host-armed offloads).
     pub fn ir_report(&self) -> Option<PassReport> {
         self.report
-    }
-
-    /// The deployed round's non-interference footprint (`None` for
-    /// host-armed offloads — their instances are staged per `arm` call,
-    /// so the static footprint of one round does not exist).
-    pub fn footprint(&self) -> Option<&Footprint> {
-        self.footprint.as_ref()
     }
 
     /// Optimized WQEs per request (one recycled round divided by its
@@ -460,17 +443,16 @@ impl ListWalkOffload {
         Ok(ListWalkOffload {
             tp,
             spec,
-            posted: 0,
+            window: InstanceWindow::recycled(
+                spec.pipeline_depth,
+                lowered.lp.queue.sq,
+                lowered.lp.round_len,
+            ),
             trigger_base,
             node,
             report: Some(lowered.report()),
             footprint: Some(footprint),
-            backend: Backend::Recycled {
-                ring: lowered.lp.queue,
-                slots: k,
-                completed: 0,
-                round_len: lowered.lp.round_len,
-            },
+            backend: Backend::Recycled,
         })
     }
 
@@ -486,7 +468,6 @@ impl ListWalkOffload {
             chain,
             ctrl,
             brk_q,
-            armed,
             ctrl_cqe_base,
         } = self.backend
         else {
@@ -494,10 +475,9 @@ impl ListWalkOffload {
                 "self-recycling offloads are primed once at deploy; arm() is host-armed only",
             ));
         };
-        let trigger_count = self.trigger_base + armed + 1;
-        let instance = armed;
-        let slot = instance % self.spec.pipeline_depth as u64;
-        let resp_addr = self.spec.dest.addr + slot * self.response_stride();
+        let instance = self.window.armed();
+        let trigger_count = self.trigger_base + instance + 1;
+        let resp_addr = self.response_slot(instance);
         let spec = self.spec;
         // With breaks, suppressed completions make posted != CQE count, so
         // break offloads are single-shot: gate on the live CQ totals.
@@ -769,10 +749,7 @@ impl ListWalkOffload {
 
         let entries = lowered.scatter(sid);
         self.tp.post_trigger_recv(sim, pool, &entries)?;
-        let Backend::HostArmed { ref mut armed, .. } = self.backend else {
-            unreachable!("checked above");
-        };
-        *armed += 1;
+        self.window.note_armed();
         Ok(wr_count)
     }
 
@@ -780,7 +757,7 @@ impl ListWalkOffload {
     /// self-recycling (the folded R3 scatters the key into every
     /// iteration's CAS, so the client repeats it once per iteration).
     pub fn client_payload(&self, head: u64, key: u64) -> Vec<u8> {
-        let recycled = matches!(self.backend, Backend::Recycled { .. });
+        let recycled = self.window.is_recycled();
         let reps = if recycled { self.spec.max_nodes } else { 1 };
         let mut p = Vec::with_capacity(client_payload_len(self.spec.max_nodes, recycled));
         p.extend_from_slice(&head.to_le_bytes());
@@ -790,100 +767,32 @@ impl ListWalkOffload {
         p
     }
 
-    /// Instances armed so far. A self-recycling offload re-arms itself,
-    /// so its horizon is always `posted + instances_available`.
-    pub fn armed(&self) -> u64 {
-        match self.backend {
-            Backend::HostArmed { armed, .. } => armed,
-            Backend::Recycled { .. } => self.posted + self.instances_available(),
-        }
-    }
-
-    /// Whether this offload re-arms itself on the NIC (zero host work per
-    /// request) rather than through host `arm` calls.
-    pub fn is_recycled(&self) -> bool {
-        matches!(self.backend, Backend::Recycled { .. })
-    }
-
-    /// Recycle rounds the walk ring has completed (0 for host-armed
-    /// offloads).
-    pub fn rounds(&self, sim: &Simulator) -> u64 {
-        match self.backend {
-            Backend::Recycled {
-                ring, round_len, ..
-            } => sim.wq_executed(ring.sq) / round_len,
-            Backend::HostArmed { .. } => 0,
-        }
-    }
-
-    /// The immediate a response for `instance` carries: the global
-    /// instance id when host-armed, the ring slot when self-recycling.
-    pub fn response_tag(&self, instance: u64) -> u32 {
-        match self.backend {
-            Backend::HostArmed { .. } => instance as u32,
-            Backend::Recycled { slots, .. } => (instance % slots) as u32,
-        }
-    }
-
     /// Maximum nodes walked per request — the unroll factor.
     pub fn max_nodes(&self) -> usize {
         self.spec.max_nodes
     }
+}
 
-    /// Instances a pipelined client may keep in flight concurrently.
-    pub fn pipeline_depth(&self) -> u32 {
-        self.spec.pipeline_depth
+impl OffloadService for ListWalkOffload {
+    fn window(&self) -> &InstanceWindow {
+        &self.window
     }
 
-    /// Byte distance between consecutive client response slots.
-    pub fn response_stride(&self) -> u64 {
-        self.spec.value_len.max(8) as u64
+    fn window_mut(&mut self) -> &mut InstanceWindow {
+        &mut self.window
     }
 
-    /// Client response-slot address for `instance` (slot `instance %
-    /// pipeline_depth` of the advertised destination buffer).
-    pub fn response_slot(&self, instance: u64) -> u64 {
-        self.spec.dest.addr + (instance % self.spec.pipeline_depth as u64) * self.response_stride()
+    fn arm(&mut self, sim: &mut Simulator, pool: &mut ConstPool) -> Result<()> {
+        ListWalkOffload::arm(self, sim, pool).map(|_| ())
     }
 
-    /// Claim the next armed instance for a request about to be posted
-    /// (see [`HashGetOffload::take_instance`] — the accounting is
-    /// identical).
-    ///
-    /// [`HashGetOffload::take_instance`]: crate::offloads::hash_lookup::HashGetOffload::take_instance
-    pub fn take_instance(&mut self) -> Result<u64> {
-        if self.instances_available() == 0 {
-            return Err(Error::InvalidWr(
-                "no armed list-walk instance available (re-arm or complete before posting)",
-            ));
-        }
-        let instance = self.posted;
-        self.posted += 1;
-        Ok(instance)
+    /// Slots are `value_len.max(8)` bytes apart.
+    fn response_slot(&self, instance: u64) -> u64 {
+        self.spec.dest.addr + self.window.slot(instance) * self.spec.value_len.max(8) as u64
     }
 
-    /// Retire one in-flight instance of a self-recycling walk — its
-    /// response was reaped (or the request abandoned), so its ring slot
-    /// is free for the next round. No-op for host-armed offloads, whose
-    /// slots are replenished by `arm`.
-    pub fn complete_instance(&mut self) {
-        if let Backend::Recycled {
-            ref mut completed, ..
-        } = self.backend
-        {
-            *completed = (*completed + 1).min(self.posted);
-        }
-    }
-
-    /// Armed instances not yet claimed by
-    /// [`take_instance`](ListWalkOffload::take_instance).
-    pub fn instances_available(&self) -> u64 {
-        match self.backend {
-            Backend::HostArmed { armed, .. } => armed - self.posted,
-            Backend::Recycled {
-                slots, completed, ..
-            } => slots - (self.posted - completed),
-        }
+    fn footprint(&self) -> Option<&Footprint> {
+        self.footprint.as_ref()
     }
 }
 
@@ -994,7 +903,7 @@ mod tests {
     /// One walk through a recycled offload (no arm call); returns the
     /// first value byte of the instance's slot on a hit.
     fn walk_recycled(r: &mut Rig, off: &mut ListWalkOffload, key: u64) -> Option<u8> {
-        let instance = off.take_instance().unwrap();
+        let instance = off.window_mut().take().unwrap();
         r.sim.post_recv(r.cqp, WorkRequest::recv(0, 0, 0)).unwrap();
         let payload = off.client_payload(r.nodes, key);
         r.sim.mem_write(r.client, r.csrc, &payload).unwrap();
@@ -1006,13 +915,13 @@ mod tests {
             .unwrap();
         r.sim.run().unwrap();
         let cqes = r.sim.poll_cq(r.crecv_cq, 8);
-        off.complete_instance();
+        off.window_mut().retire();
         match cqes.first() {
             None => None,
             Some(cqe) => {
                 assert_eq!(
                     cqe.imm,
-                    Some(off.response_tag(instance)),
+                    Some(off.window().tag(instance)),
                     "response immediate must be the slot-stable tag"
                 );
                 let slot = off.response_slot(instance);
@@ -1142,9 +1051,9 @@ mod tests {
         for _ in 0..4 {
             off.arm(&mut r.sim, &mut pool).unwrap();
         }
-        assert_eq!(off.instances_available(), 4);
+        assert_eq!(off.window().available(), 4);
         for (i, &key) in keys.iter().enumerate() {
-            assert_eq!(off.take_instance().unwrap(), i as u64);
+            assert_eq!(off.window_mut().take().unwrap(), i as u64);
             r.sim.post_recv(r.cqp, WorkRequest::recv(0, 0, 0)).unwrap();
             let payload = off.client_payload(r.nodes, key);
             let src = r.csrc + i as u64 * 16;
@@ -1156,8 +1065,8 @@ mod tests {
                 )
                 .unwrap();
         }
-        assert_eq!(off.instances_available(), 0);
-        assert!(off.take_instance().is_err());
+        assert_eq!(off.window().available(), 0);
+        assert!(off.window_mut().take().is_err());
         r.sim.run().unwrap();
         let cqes = r.sim.poll_cq(r.crecv_cq, 8);
         assert_eq!(cqes.len(), 4, "all four pipelined walks respond");
@@ -1178,7 +1087,7 @@ mod tests {
         let mut r = rig_slots(&keys, 2);
         let mut pool = ConstPool::create(&mut r.sim, r.server, 1 << 20, ProcessId(0)).unwrap();
         let mut off = deploy_recycled(&mut r, 4, 2, &mut pool);
-        assert!(off.is_recycled());
+        assert!(off.window().is_recycled());
         r.sim.connect_qps(r.cqp, off.tp.qp).unwrap();
         // 8 walks through 2 slots = 4 recycle rounds; hits at every
         // depth, zero pool churn after the prime.
@@ -1189,7 +1098,8 @@ mod tests {
             assert_eq!(got, Some((i + 1) as u8), "walk {g}");
         }
         assert_eq!(pool.used(), pool_used, "steady state pushes no pool bytes");
-        assert!(off.rounds(&r.sim) >= 3, "rounds {}", off.rounds(&r.sim));
+        let rounds = off.window().rounds(&r.sim);
+        assert!(rounds >= 3, "rounds {rounds}");
     }
 
     #[test]

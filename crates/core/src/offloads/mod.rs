@@ -7,10 +7,12 @@
 //!   (Fig 9), in sequential and PU-parallel variants (Fig 11).
 //! * [`list`] — linked-list traversal (Fig 12), with and without `break`
 //!   (Fig 13).
+//! * [`window`] — the [`InstanceWindow`](window::InstanceWindow): the
+//!   claim/retire accounting every offload family shares.
 //! * [`service`] — the [`OffloadService`](service::OffloadService) trait:
-//!   the uniform runtime surface (prime / claim / retire / recycle
-//!   accounting) every serving offload family implements, so
-//!   heterogeneous fleets can deploy them side by side on one NIC.
+//!   what differs per serving family (arming, response slots,
+//!   footprint), so heterogeneous fleets can deploy them side by side on
+//!   one NIC.
 //! * [`replicate`] — chain-replicated PUTs: the primary's NIC forwards
 //!   each acked record to backup journals and acks the client, with zero
 //!   host involvement in steady state (§3.4 recycling on the write
@@ -21,5 +23,7 @@ pub mod list;
 pub mod replicate;
 pub mod rpc;
 pub mod service;
+pub mod window;
 
 pub use service::OffloadService;
+pub use window::InstanceWindow;

@@ -43,6 +43,7 @@ use crate::ir::{
     DeployOpts, EnableTarget, IrProgram, Kind, Loc, OpBuild, PassReport, RingSpec, WaitCond,
 };
 use crate::offloads::rpc::TriggerPoint;
+use crate::offloads::window::InstanceWindow;
 use crate::program::{ChainQueue, ConstPool};
 use rnic_sim::error::{Error, Result};
 use rnic_sim::ids::{NodeId, ProcessId};
@@ -479,10 +480,12 @@ impl ReplicationBuilder {
             tp,
             node: self.node,
             value_len: self.value_len,
-            depth: k,
-            base: self.start_slot,
-            posted: 0,
-            completed: 0,
+            window: InstanceWindow::recycled(
+                self.pipeline_depth,
+                lowered.lp.queue.sq,
+                lowered.lp.round_len,
+            )
+            .starting_at(self.start_slot),
             fwd,
             backups: self.backups,
             report: lowered.report(),
@@ -493,21 +496,20 @@ impl ReplicationBuilder {
 
 /// A deployed NIC-resident replication chain on a shard primary.
 ///
-/// Host-side it is pure accounting: [`take_instance`] claims a window
-/// slot before the client SENDs, [`complete_instance`] retires it when
-/// the ack is reaped. The NIC does everything else.
-///
-/// [`take_instance`]: ReplicationOffload::take_instance
-/// [`complete_instance`]: ReplicationOffload::complete_instance
+/// Host-side it is pure accounting in its [`InstanceWindow`]: claim an
+/// instance before the client SENDs, retire it when the ack is reaped.
+/// Instance `i` carries `seq = i + 1` and lands in journal slot `i` on
+/// every backup; its ack lands in 8-byte ack slot `window().slot(i)`
+/// with that slot as immediate. The NIC does everything else.
 pub struct ReplicationOffload {
     /// The client-facing endpoint (connect the putting client here).
     pub tp: TriggerPoint,
     node: NodeId,
     value_len: u32,
-    depth: u64,
-    base: u64,
-    posted: u64,
-    completed: u64,
+    /// Instance ids start at the chain's first journal slot (0 for a
+    /// fresh chain, the recovered-record count for a post-failover
+    /// rebuild).
+    window: InstanceWindow,
     fwd: Vec<ChainQueue>,
     backups: Vec<ReplicationLog>,
     report: PassReport,
@@ -530,9 +532,14 @@ impl ReplicationOffload {
         record_len(self.value_len)
     }
 
-    /// In-flight PUT window.
-    pub fn pipeline_depth(&self) -> u32 {
-        self.depth as u32
+    /// The chain's instance accounting.
+    pub fn window(&self) -> &InstanceWindow {
+        &self.window
+    }
+
+    /// Mutable access to the instance accounting (claim and retire).
+    pub fn window_mut(&mut self) -> &mut InstanceWindow {
+        &mut self.window
     }
 
     /// The journals this chain replicates into.
@@ -560,51 +567,7 @@ impl ReplicationOffload {
 
     /// Optimized control-ring WQEs per replicated PUT.
     pub fn verbs_per_op(&self) -> f64 {
-        self.report.after.total() as f64 / self.depth as f64
-    }
-
-    /// Claim the next window slot; the claimed instance's PUT must carry
-    /// `seq = instance + 1` and lands in journal slot `instance` on
-    /// every backup. Errors when the window is full (reap acks and
-    /// [`complete_instance`](ReplicationOffload::complete_instance)
-    /// first).
-    pub fn take_instance(&mut self) -> Result<u64> {
-        if self.instances_available() == 0 {
-            return Err(Error::InvalidWr(
-                "replication window full (reap acks before posting)",
-            ));
-        }
-        let instance = self.base + self.posted;
-        self.posted += 1;
-        Ok(instance)
-    }
-
-    /// Retire one in-flight instance (its ack was reaped). Pure host
-    /// accounting — the NIC already re-armed the slot.
-    pub fn complete_instance(&mut self) {
-        self.completed = (self.completed + 1).min(self.posted);
-    }
-
-    /// Window slots not currently in flight.
-    pub fn instances_available(&self) -> u64 {
-        self.depth - (self.posted - self.completed)
-    }
-
-    /// First journal slot this chain appends to (0 for a fresh chain,
-    /// the recovered-record count for a post-failover rebuild).
-    pub fn start_slot(&self) -> u64 {
-        self.base
-    }
-
-    /// The immediate an ack for `instance` carries (its window slot).
-    pub fn response_tag(&self, instance: u64) -> u32 {
-        ((instance - self.base) % self.depth) as u32
-    }
-
-    /// Client ack-slot offset (bytes) for `instance` within the
-    /// advertised ack buffer.
-    pub fn ack_offset(&self, instance: u64) -> u64 {
-        ((instance - self.base) % self.depth) * 8
+        self.report.after.total() as f64 / f64::from(self.window.depth())
     }
 }
 
@@ -716,7 +679,7 @@ mod tests {
     }
 
     fn put(rig: &mut Rig, key: u64, value: &[u8]) -> u64 {
-        let inst = rig.repl.take_instance().unwrap();
+        let inst = rig.repl.window_mut().take().unwrap();
         let slot = inst % DEPTH as u64;
         let rec = encode_record(inst + 1, key, value, VLEN);
         let addr = rig.req.addr + slot * rig.repl.record_len() as u64;
@@ -734,7 +697,7 @@ mod tests {
         rig.sim.run().unwrap();
         let recv_cq = rig.sim.recv_cq_of(rig.cqp);
         let acks = rig.sim.poll_cq(recv_cq, 16);
-        let slot = rig.repl.response_tag(inst);
+        let slot = rig.repl.window().tag(inst);
         let cqe = acks
             .iter()
             .find(|c| c.imm == Some(slot))
@@ -742,10 +705,10 @@ mod tests {
         assert_eq!(cqe.status, rnic_sim::cq::CqeStatus::Success);
         let seq = rig
             .sim
-            .mem_read_u64(rig.client, rig.ack.addr + rig.repl.ack_offset(inst))
+            .mem_read_u64(rig.client, rig.ack.addr + rig.repl.window().slot(inst) * 8)
             .unwrap();
         assert_eq!(seq, inst + 1, "acked seq");
-        rig.repl.complete_instance();
+        rig.repl.window_mut().retire();
     }
 
     #[test]
@@ -804,9 +767,9 @@ mod tests {
     fn window_overflow_is_a_typed_error() {
         let mut rig = rig(1);
         for _ in 0..DEPTH {
-            rig.repl.take_instance().unwrap();
+            rig.repl.window_mut().take().unwrap();
         }
-        assert!(rig.repl.take_instance().is_err());
+        assert!(rig.repl.window_mut().take().is_err());
     }
 
     #[test]

@@ -1,190 +1,72 @@
-//! [`OffloadService`] — the uniform runtime surface of a deployed
-//! serving offload.
+//! [`OffloadService`] — what differs per serving offload family.
 //!
 //! The paper's point is that *arbitrary* programs — hash lookups (§3.4,
 //! Fig 9), list traversals (§3.3, Fig 12), conditionals, loops — can be
 //! self-executed by the NIC. A serving layer therefore should not be
 //! hard-wired to one offload family: anything that (a) triggers off a
 //! client SEND, (b) lands its response in a per-instance client slot
-//! tagged by an instance immediate, and (c) accounts armed/claimed/
-//! retired instance slots, can be deployed side by side with the others
-//! on one NIC and driven through the same client
+//! tagged by an instance immediate, and (c) keeps an [`InstanceWindow`],
+//! can be deployed side by side with the others on one NIC and driven
+//! through the same client
 //! [`Session`](../../redn_kv/session/struct.Session.html).
 //!
-//! Deployment itself stays on the fluent builders
+//! The claim/retire accounting is the same for every family and lives
+//! in the window; this trait carries only what differs: how a family
+//! arms an instance from the host, where its responses land, and its
+//! deployed footprint. Deployment itself stays on the fluent builders
 //! ([`HashGetBuilder`](crate::ctx::HashGetBuilder),
 //! [`ListWalkBuilder`](crate::ctx::ListWalkBuilder)) — each family needs
-//! different capabilities — but everything *after* `build`/
-//! `build_recycled` is this trait: priming, instance claim/retire, slot
-//! and recycle accounting.
+//! different capabilities.
 
 use rnic_sim::error::Result;
 use rnic_sim::sim::Simulator;
 
 use crate::ir::analysis::Footprint;
-use crate::offloads::rpc::TriggerPoint;
+use crate::offloads::window::InstanceWindow;
 use crate::program::ConstPool;
 
-/// The runtime surface shared by every serving offload family (hash-get,
-/// list-walk, and whatever comes next). See the module docs.
+/// The runtime surface of a serving offload family (hash-get, list-walk,
+/// and whatever comes next). See the module docs.
 pub trait OffloadService {
-    /// The client-facing trigger endpoint (connect the client's QP to
-    /// `trigger().qp`; responses ride its managed SQ).
-    fn trigger(&self) -> &TriggerPoint;
+    /// The offload's instance accounting.
+    fn window(&self) -> &InstanceWindow;
 
-    /// Whether the offload re-arms itself on the NIC (§3.4 WQ recycling)
-    /// rather than through host [`OffloadService::arm`] calls.
-    fn is_recycled(&self) -> bool;
-
-    /// Instances a client may keep in flight concurrently (the
-    /// `.pipeline_depth(n)` deployment knob; 1 = the synchronous path).
-    fn pipeline_depth(&self) -> u32;
+    /// Mutable access to the instance accounting (claim and retire).
+    fn window_mut(&mut self) -> &mut InstanceWindow;
 
     /// Stage one more instance from the host (host-armed mode only; a
     /// self-recycling offload is primed once at deploy and errors here).
     fn arm(&mut self, sim: &mut Simulator, pool: &mut ConstPool) -> Result<()>;
+
+    /// Client response-slot address for `instance` (its window slot of
+    /// the advertised destination buffer).
+    fn response_slot(&self, instance: u64) -> u64;
+
+    /// The deployed program's non-interference footprint, fed to the
+    /// [`DeploymentVerifier`](crate::ir::analysis::DeploymentVerifier)
+    /// when services are co-deployed on one NIC. `None` for host-armed
+    /// offloads: their instances are staged per
+    /// [`arm`](OffloadService::arm) call onto long-lived shared queues,
+    /// so one round's static footprint does not describe them.
+    fn footprint(&self) -> Option<&Footprint>;
+
+    /// Instances a client may keep in flight concurrently (the
+    /// `.pipeline_depth(n)` deployment knob; 1 = the synchronous path).
+    fn pipeline_depth(&self) -> u32 {
+        self.window().depth()
+    }
 
     /// Top the offload up to a full pipeline of armed, unclaimed
     /// instances: host-armed offloads [`arm`](OffloadService::arm) the
     /// shortfall (counted by the caller); self-recycling offloads re-arm
     /// on the NIC, so this is a no-op for them.
     fn prime(&mut self, sim: &mut Simulator, pool: &mut ConstPool) -> Result<()> {
-        if self.is_recycled() {
+        if self.window().is_recycled() {
             return Ok(());
         }
-        while self.instances_available() < self.pipeline_depth() as u64 {
+        while self.window().available() < u64::from(self.pipeline_depth()) {
             self.arm(sim, pool)?;
         }
         Ok(())
-    }
-
-    /// Claim the next armed instance for a request about to be posted.
-    /// Trigger RECVs are consumed in arming order, so the k-th client
-    /// SEND consumes instance k; this is the host-side half of that
-    /// accounting. Errors when every armed instance already has a
-    /// request in flight.
-    fn take_instance(&mut self) -> Result<u64>;
-
-    /// Retire one in-flight instance — its response was reaped (or the
-    /// request abandoned), freeing the slot. Pure accounting for
-    /// recycled offloads (the NIC already re-armed the slot); host-armed
-    /// slots are replenished by [`arm`](OffloadService::arm) instead.
-    fn complete_instance(&mut self);
-
-    /// Armed instances not yet claimed by
-    /// [`take_instance`](OffloadService::take_instance).
-    fn instances_available(&self) -> u64;
-
-    /// Instances armed so far (a self-recycling offload's horizon is
-    /// always `posted + instances_available`).
-    fn armed(&self) -> u64;
-
-    /// The immediate a response for `instance` carries: the global
-    /// instance id when host-armed, the ring slot (`instance %
-    /// pipeline_depth`) when self-recycling.
-    fn response_tag(&self, instance: u64) -> u32;
-
-    /// Client response-slot address for `instance` (slot `instance %
-    /// pipeline_depth` of the advertised destination buffer).
-    fn response_slot(&self, instance: u64) -> u64;
-
-    /// Byte distance between consecutive client response slots.
-    fn response_stride(&self) -> u64;
-
-    /// Recycle rounds completed (0 for host-armed offloads).
-    fn rounds(&self, sim: &Simulator) -> u64;
-
-    /// The deployed program's non-interference footprint, fed to the
-    /// [`DeploymentVerifier`](crate::ir::analysis::DeploymentVerifier)
-    /// when services are co-deployed on one NIC. `None` (the default)
-    /// for host-armed offloads: their instances are staged per
-    /// [`arm`](OffloadService::arm) call onto long-lived shared queues,
-    /// so one round's static footprint does not describe them.
-    fn footprint(&self) -> Option<&Footprint> {
-        None
-    }
-}
-
-impl OffloadService for crate::offloads::hash_lookup::HashGetOffload {
-    fn trigger(&self) -> &TriggerPoint {
-        &self.tp
-    }
-    fn is_recycled(&self) -> bool {
-        crate::offloads::hash_lookup::HashGetOffload::is_recycled(self)
-    }
-    fn pipeline_depth(&self) -> u32 {
-        crate::offloads::hash_lookup::HashGetOffload::pipeline_depth(self)
-    }
-    fn arm(&mut self, sim: &mut Simulator, pool: &mut ConstPool) -> Result<()> {
-        crate::offloads::hash_lookup::HashGetOffload::arm(self, sim, pool)
-    }
-    fn take_instance(&mut self) -> Result<u64> {
-        crate::offloads::hash_lookup::HashGetOffload::take_instance(self)
-    }
-    fn complete_instance(&mut self) {
-        crate::offloads::hash_lookup::HashGetOffload::complete_instance(self)
-    }
-    fn instances_available(&self) -> u64 {
-        crate::offloads::hash_lookup::HashGetOffload::instances_available(self)
-    }
-    fn armed(&self) -> u64 {
-        crate::offloads::hash_lookup::HashGetOffload::armed(self)
-    }
-    fn response_tag(&self, instance: u64) -> u32 {
-        crate::offloads::hash_lookup::HashGetOffload::response_tag(self, instance)
-    }
-    fn response_slot(&self, instance: u64) -> u64 {
-        crate::offloads::hash_lookup::HashGetOffload::response_slot(self, instance)
-    }
-    fn response_stride(&self) -> u64 {
-        crate::offloads::hash_lookup::HashGetOffload::response_stride(self)
-    }
-    fn rounds(&self, sim: &Simulator) -> u64 {
-        crate::offloads::hash_lookup::HashGetOffload::rounds(self, sim)
-    }
-    fn footprint(&self) -> Option<&Footprint> {
-        crate::offloads::hash_lookup::HashGetOffload::footprint(self)
-    }
-}
-
-impl OffloadService for crate::offloads::list::ListWalkOffload {
-    fn trigger(&self) -> &TriggerPoint {
-        &self.tp
-    }
-    fn is_recycled(&self) -> bool {
-        crate::offloads::list::ListWalkOffload::is_recycled(self)
-    }
-    fn pipeline_depth(&self) -> u32 {
-        crate::offloads::list::ListWalkOffload::pipeline_depth(self)
-    }
-    fn arm(&mut self, sim: &mut Simulator, pool: &mut ConstPool) -> Result<()> {
-        crate::offloads::list::ListWalkOffload::arm(self, sim, pool).map(|_| ())
-    }
-    fn take_instance(&mut self) -> Result<u64> {
-        crate::offloads::list::ListWalkOffload::take_instance(self)
-    }
-    fn complete_instance(&mut self) {
-        crate::offloads::list::ListWalkOffload::complete_instance(self)
-    }
-    fn instances_available(&self) -> u64 {
-        crate::offloads::list::ListWalkOffload::instances_available(self)
-    }
-    fn armed(&self) -> u64 {
-        crate::offloads::list::ListWalkOffload::armed(self)
-    }
-    fn response_tag(&self, instance: u64) -> u32 {
-        crate::offloads::list::ListWalkOffload::response_tag(self, instance)
-    }
-    fn response_slot(&self, instance: u64) -> u64 {
-        crate::offloads::list::ListWalkOffload::response_slot(self, instance)
-    }
-    fn response_stride(&self) -> u64 {
-        crate::offloads::list::ListWalkOffload::response_stride(self)
-    }
-    fn rounds(&self, sim: &Simulator) -> u64 {
-        crate::offloads::list::ListWalkOffload::rounds(self, sim)
-    }
-    fn footprint(&self) -> Option<&Footprint> {
-        crate::offloads::list::ListWalkOffload::footprint(self)
     }
 }

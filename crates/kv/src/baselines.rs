@@ -27,6 +27,18 @@ use rnic_sim::wqe::WorkRequest;
 use crate::cuckoo::CuckooTable;
 use crate::hopscotch::{HopscotchTable, NEIGHBORHOOD};
 use redn_core::offloads::hash_lookup::BUCKET_SIZE;
+use redn_core::offloads::OffloadService;
+
+/// One request's claimed offload instance, as a burst stages it.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Claim {
+    /// The claimed instance (its response carries the window's tag).
+    pub instance: u64,
+    /// The instance's client request/response slot.
+    pub slot: u64,
+    /// When the request is handed to the NIC.
+    pub at: Time,
+}
 
 /// Run the simulator until `cq` produces a completion (or events run dry).
 pub fn run_until_cqe(sim: &mut Simulator, cq: CqId) -> Result<Option<Cqe>> {
@@ -46,8 +58,7 @@ pub fn run_until_cqe(sim: &mut Simulator, cq: CqId) -> Result<Option<Cqe>> {
 /// its request and response buffers into `slots` independent slots so
 /// that many requests can be in flight at once (one slot per in-flight
 /// instance — the client-side mirror of the offload's `pipeline_depth`).
-/// The response-slot stride matches
-/// [`HashGetOffload::response_stride`](redn_core::offloads::hash_lookup::HashGetOffload::response_stride):
+/// The response-slot stride matches the offloads' response slots:
 /// `max_value.max(8)` bytes.
 pub struct ClientEndpoint {
     /// Client node.
@@ -161,50 +172,55 @@ impl ClientEndpoint {
 
     // -- Trigger-burst engine (Session::get_burst / walk_burst) -------
 
-    /// Stage one trigger request into `instance`'s request slot: reserve
-    /// its response RECV, write the payload, and queue the trigger SEND
-    /// (no doorbell — bursts ring once). Returns the slot index.
-    pub(crate) fn stage_trigger(
+    /// Claim `off`'s next instance and stage one trigger request into
+    /// the instance's slot: build its payload and handle with `request`,
+    /// reserve its response RECV, write the payload, and queue the
+    /// trigger SEND (no doorbell — bursts ring once).
+    fn stage_trigger<S: OffloadService, P>(
         &self,
         sim: &mut Simulator,
-        instance: u64,
-        depth: u32,
-        payload: &[u8],
-    ) -> Result<u64> {
-        let slot = instance % depth as u64;
+        off: &mut S,
+        request: impl FnOnce(&S, Claim) -> (Vec<u8>, P),
+    ) -> Result<P> {
+        let instance = off.window_mut().take()?;
+        let claim = Claim {
+            instance,
+            slot: off.window().slot(instance),
+            at: sim.now(),
+        };
+        let (payload, pending) = request(off, claim);
         self.reserve_response_recv(sim)?;
-        let req = self.req_slot(slot);
-        sim.mem_write(self.node, req, payload)?;
+        let req = self.req_slot(claim.slot);
+        sim.mem_write(self.node, req, &payload)?;
         sim.post_send_quiet(
             self.qp,
             redn_core::offloads::rpc::trigger_send(req, self.req_lkey, payload.len() as u32),
         )?;
-        Ok(slot)
+        Ok(pending)
     }
 
-    /// Post `count` trigger requests as one burst under a single
-    /// doorbell. The window is validated up front (`depth` vs this
-    /// endpoint's slots, `available` instances vs `count`), so an
-    /// over-sized burst errors cleanly with nothing posted; `post_one`
-    /// claims an instance, builds the payload, and stages it via
-    /// [`ClientEndpoint::stage_trigger`]. A mid-burst error still rings
-    /// the doorbell for the already-staged requests — they are on the
-    /// wire — but their handles are lost with the error; that path
-    /// indicates a programming bug, not a capacity condition.
-    pub(crate) fn post_trigger_burst<P>(
+    /// Post `count` trigger requests to `off` as one burst under a single
+    /// doorbell; `request(off, i, claim)` builds request `i`'s payload
+    /// and handle once its instance is claimed. The window is validated
+    /// up front (the offload's pipeline depth vs this endpoint's slots,
+    /// available instances vs `count`), so an over-sized burst errors
+    /// cleanly with nothing posted. A mid-burst error still rings the
+    /// doorbell for the already-staged requests — they are on the wire —
+    /// but their handles are lost with the error; that path indicates a
+    /// programming bug, not a capacity condition.
+    pub(crate) fn post_trigger_burst<S: OffloadService, P>(
         &self,
         sim: &mut Simulator,
-        depth: u32,
-        available: u64,
+        off: &mut S,
         count: usize,
-        mut post_one: impl FnMut(&mut Simulator, usize) -> Result<P>,
+        mut request: impl FnMut(&S, usize, Claim) -> (Vec<u8>, P),
     ) -> Result<Vec<P>> {
-        if self.slots < depth {
+        if self.slots < off.pipeline_depth() {
             return Err(Error::InvalidWr(
                 "client endpoint has fewer slots than the offload's pipeline depth",
             ));
         }
-        if available < count as u64 {
+        if off.window().available() < count as u64 {
             return Err(Error::InvalidWr(
                 "burst exceeds the offload's available instances (re-arm or complete first)",
             ));
@@ -212,7 +228,7 @@ impl ClientEndpoint {
         let mut out = Vec::with_capacity(count);
         let mut result = Ok(());
         for i in 0..count {
-            match post_one(sim, i) {
+            match self.stage_trigger(sim, off, |off, claim| request(off, i, claim)) {
                 Ok(p) => out.push(p),
                 Err(e) => {
                     result = Err(e);

@@ -158,13 +158,13 @@ pub struct ReapedGet {
 }
 
 /// Batched non-blocking RedN gets (the engine behind
-/// [`Session::get_burst`](crate::session::Session::get_burst) and the
-/// deprecated free-function shims): stage every request's payload and
-/// trigger SEND through [`ClientEndpoint::post_trigger_burst`], which
-/// rings **one** doorbell for the whole burst — a closed-loop generator
-/// refilling a K-deep window pays one MMIO per tick instead of K — and
-/// validates the burst against the offload's available instances
-/// *before* anything is staged.
+/// [`Session::get_burst`](crate::session::Session::get_burst)): stage
+/// every request's payload and trigger SEND through
+/// [`ClientEndpoint::post_trigger_burst`], which rings **one** doorbell
+/// for the whole burst — a closed-loop generator refilling a K-deep
+/// window pays one MMIO per tick instead of K — and validates the burst
+/// against the offload's available instances *before* anything is
+/// staged.
 pub(crate) fn post_get_burst(
     sim: &mut Simulator,
     off: &mut HashGetOffload,
@@ -172,27 +172,18 @@ pub(crate) fn post_get_burst(
     table: &Rc<RefCell<CuckooTable>>,
     keys: &[u64],
 ) -> Result<Vec<PendingGet>> {
-    let depth = off.pipeline_depth();
-    ep.post_trigger_burst(
-        sim,
-        depth,
-        off.instances_available(),
-        keys.len(),
-        |sim, i| {
-            let key = keys[i];
-            let instance = off.take_instance()?;
-            let cands = table.borrow().candidate_addrs(key);
-            let n = off.variant().buckets();
-            let payload = off.client_payload(key, &cands[..n]);
-            let slot = ep.stage_trigger(sim, instance, depth, &payload)?;
-            Ok(PendingGet {
-                instance,
-                key,
-                slot,
-                posted_at: sim.now(),
-            })
-        },
-    )
+    ep.post_trigger_burst(sim, off, keys.len(), |off, i, claim| {
+        let key = keys[i];
+        let cands = table.borrow().candidate_addrs(key);
+        let payload = off.client_payload(key, &cands[..off.variant().buckets()]);
+        let pending = PendingGet {
+            instance: claim.instance,
+            key,
+            slot: claim.slot,
+            posted_at: claim.at,
+        };
+        (payload, pending)
+    })
 }
 
 /// Reap up to `max` response completions from `ep`'s receive CQ,

@@ -42,7 +42,6 @@ use std::collections::VecDeque;
 use redn_core::ctx::OffloadCtx;
 use redn_core::ir::analysis::{AnalysisReport, DeploymentVerifier};
 use redn_core::offloads::hash_lookup::HashGetVariant;
-use redn_core::offloads::service::OffloadService;
 use redn_core::program::ConstPool;
 use rnic_sim::error::{Error, Result};
 use rnic_sim::ids::NodeId;
@@ -411,8 +410,6 @@ struct FleetClient {
     inflight: VecDeque<Pending>,
     posted: u64,
     reaped: u64,
-    depth: u32,
-    self_recycling: bool,
     /// Owning tenant index (see [`ServiceSpec::tenant`]).
     tenant: Option<usize>,
     /// Scratch completion buffer reused across reaps.
@@ -424,6 +421,11 @@ struct FleetClient {
 type Reaped = (Vec<(Time, Time)>, u64, Option<Time>);
 
 impl FleetClient {
+    /// The client's window: its service's pipeline depth.
+    fn depth(&self) -> u32 {
+        self.session.service().pipeline_depth()
+    }
+
     /// Reap every pending completion: record it, retire its instance
     /// slot, and (host-armed, while requests remain) re-arm one
     /// instance per completion. Returns the `(scheduled, posted)`
@@ -459,7 +461,7 @@ impl FleetClient {
             }
             // Replace the consumed instance from the host in host-armed
             // mode (the §3.4 comparison row) — one arm per completion.
-            if self.posted < ops_per_client && !self.self_recycling {
+            if self.posted < ops_per_client && !self.session.service().window().is_recycled() {
                 self.session.service_mut().arm(sim, pool)?;
                 arms += 1;
             }
@@ -686,8 +688,6 @@ impl ServingFleet {
                     inflight: VecDeque::new(),
                     posted: 0,
                     reaped: 0,
-                    depth: svc.pipeline_depth,
-                    self_recycling: svc.self_recycling,
                     tenant: svc.tenant,
                     comp_buf: Vec::new(),
                 });
@@ -843,7 +843,7 @@ impl ServingFleet {
                 // Refill the window up to K with the next requests and
                 // fire the whole burst under a single doorbell.
                 let c = &mut self.clients[ci];
-                let k = u64::from(k_outstanding.clamp(1, c.depth));
+                let k = u64::from(k_outstanding.clamp(1, c.depth()));
                 let room = k.saturating_sub(c.inflight.len() as u64);
                 let want = room.min(ops_per_client - c.posted);
                 let refill =
@@ -915,7 +915,7 @@ impl ServingFleet {
                 // pacer: the shortfall stays scheduled (so its latency
                 // keeps accruing from the scheduled time — pacing delay
                 // is charged to the overdriven tenant, not hidden).
-                let depth = u64::from(c.depth);
+                let depth = u64::from(c.depth());
                 let mut due = 0u64;
                 while c.posted + due < ops_per_client
                     && sched(i as u64, c.posted + due) <= sim.now()
@@ -1001,7 +1001,7 @@ impl ServingFleet {
                     .clients
                     .iter()
                     .filter(|c| c.tenant == Some(t))
-                    .map(|c| u64::from(c.depth))
+                    .map(|c| u64::from(c.depth()))
                     .sum();
                 CreditPacer::new(cap, burst.max(1) as f64, sim.now())
             });
@@ -1009,9 +1009,7 @@ impl ServingFleet {
         for c in &mut self.clients {
             c.posted = 0;
             c.reaped = 0;
-            if !c.self_recycling {
-                OffloadService::prime(c.session.service_mut(), sim, pool)?;
-            }
+            c.session.service_mut().prime(sim, pool)?;
         }
         Ok(())
     }

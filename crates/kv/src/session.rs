@@ -172,7 +172,7 @@ impl Session {
             builder.build(sim)?
         };
         sim.connect_qps(ep.qp, off.tp.qp)?;
-        OffloadService::prime(&mut off, sim, ctx.pool_mut())?;
+        off.prime(sim, ctx.pool_mut())?;
         Ok(Session {
             ep,
             bound: Bound::Get {
@@ -223,7 +223,7 @@ impl Session {
             builder.build(sim)?
         };
         sim.connect_qps(ep.qp, off.tp.qp)?;
-        OffloadService::prime(&mut off, sim, ctx.pool_mut())?;
+        off.prime(sim, ctx.pool_mut())?;
         Ok(Session {
             ep,
             bound: Bound::Walk { off },
@@ -311,27 +311,18 @@ impl Session {
                 "session is bound to a hash-get service; use get()/get_burst()",
             ));
         };
-        let depth = off.pipeline_depth();
-        let ep = &self.ep;
-        ep.post_trigger_burst(
-            sim,
-            depth,
-            off.instances_available(),
-            reqs.len(),
-            |sim, i| {
+        self.ep
+            .post_trigger_burst(sim, off, reqs.len(), |off, i, claim| {
                 let (head, key) = reqs[i];
-                let instance = off.take_instance()?;
-                let payload = off.client_payload(head, key);
-                let slot = ep.stage_trigger(sim, instance, depth, &payload)?;
-                Ok(PendingWalk {
-                    instance,
+                let pending = PendingWalk {
+                    instance: claim.instance,
                     head,
                     key,
-                    slot,
-                    posted_at: sim.now(),
-                })
-            },
-        )
+                    slot: claim.slot,
+                    posted_at: claim.at,
+                };
+                (off.client_payload(head, key), pending)
+            })
     }
 
     /// Reap up to `max` completions, typed by the session's service
@@ -360,21 +351,21 @@ impl Session {
     }
 
     /// The response tag `instance`'s completion will carry (see
-    /// [`OffloadService::response_tag`]).
+    /// [`InstanceWindow::tag`](redn_core::offloads::InstanceWindow::tag)).
     pub fn response_tag(&self, instance: u64) -> u64 {
-        u64::from(self.service().response_tag(instance))
+        u64::from(self.service().window().tag(instance))
     }
 
     /// Retire one reaped in-flight instance (slot accounting).
     pub fn complete(&mut self) {
-        self.service_mut().complete_instance();
+        self.service_mut().window_mut().retire();
     }
 
     /// Give up on one in-flight request (drained simulator / deadline):
     /// recycles its RECV and retires its instance slot.
     pub fn abandon(&mut self) {
         self.ep.note_request_abandoned();
-        self.service_mut().complete_instance();
+        self.service_mut().window_mut().retire();
     }
 
     /// Read the first `len` bytes of `instance`'s response slot.
@@ -495,7 +486,7 @@ mod tests {
             },
         )
         .unwrap();
-        assert!(!session.service().is_recycled());
+        assert!(!session.service().window().is_recycled());
         let p = session
             .walk(&mut sim, store.head(1), store.key_of(1, 3))
             .unwrap();

@@ -383,24 +383,6 @@ pub struct SimConfig {
     /// programs (which are, after all, Turing complete) into clean errors
     /// rather than hangs.
     pub max_events: u64,
-    /// Number of event-wheel lanes the queue is sharded into (clamped to
-    /// at least 1). Lanes absorb scheduling work per NIC port; the pop
-    /// side merges lane heads in `(time, seq)` order, so the observable
-    /// event order — and every trace and artifact — is identical for any
-    /// lane count. Defaults from the `REDN_SIM_THREADS` environment
-    /// variable (also the worker-thread count of sharded bench sweeps).
-    pub lanes: usize,
-}
-
-impl SimConfig {
-    /// Lane/worker count from `REDN_SIM_THREADS`, clamped to `1..=64`;
-    /// 1 when unset or unparsable.
-    pub fn threads_from_env() -> usize {
-        std::env::var("REDN_SIM_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .map_or(1, |n| n.clamp(1, 64))
-    }
 }
 
 impl Default for SimConfig {
@@ -408,7 +390,6 @@ impl Default for SimConfig {
         SimConfig {
             trace: false,
             max_events: 500_000_000,
-            lanes: SimConfig::threads_from_env(),
         }
     }
 }

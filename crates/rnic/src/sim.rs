@@ -121,7 +121,7 @@ impl Simulator {
     /// Create an empty simulator.
     pub fn new(cfg: SimConfig) -> Simulator {
         let trace = Trace::new(cfg.trace);
-        let events = EventQueue::with_lanes(cfg.lanes);
+        let events = EventQueue::new();
         Simulator {
             cfg,
             now: Time::ZERO,

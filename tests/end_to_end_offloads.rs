@@ -105,7 +105,7 @@ fn offload_serves_many_sequential_requests() {
             (key & 0xFF) as u8
         );
     }
-    assert_eq!(off.armed(), 50);
+    assert_eq!(off.window().armed(), 50);
 }
 
 #[test]

@@ -8,6 +8,7 @@ use redn::core::encode::WqeField;
 use redn::core::ir::analysis::{self, DeploymentVerifier};
 use redn::core::ir::{EnableTarget, IrProgram, Kind, Loc, OpBuild, RingSpec, WaitCond};
 use redn::core::offloads::hash_lookup::HashGetVariant;
+use redn::core::offloads::OffloadService;
 use redn::core::program::ConstPool;
 use redn::kv::liststore::ListStore;
 use redn::kv::memcached::MemcachedServer;

@@ -9,6 +9,7 @@ use redn::core::ctx::{ClientDest, OffloadCtx, TableRegion, ValueSource};
 use redn::core::ir::DeployOpts;
 use redn::core::offloads::hash_lookup::{encode_bucket, HashGetVariant, BUCKET_SIZE};
 use redn::core::offloads::list::encode_node;
+use redn::core::offloads::OffloadService;
 use redn::core::program::ConstPool;
 use redn::core::turing::compile::CompiledTm;
 use redn::core::turing::machine::{Move, Rule, TuringMachine};
@@ -171,7 +172,7 @@ fn run_gets(r: &mut GetRig, nkeys: u64, depth: u32, keys: &[u64]) -> (Vec<bool>,
         // Key 100+i lives in bucket i; out-of-range keys probe the
         // congruent bucket and miss.
         let bucket = r.table + ((key - 100) % nkeys) * BUCKET_SIZE;
-        let _ = r.off.take_instance().unwrap();
+        let _ = r.off.window_mut().take().unwrap();
         r.sim.post_recv(r.cqp, WorkRequest::recv(0, 0, 0)).unwrap();
         let payload = r.off.client_payload(key, &[bucket]);
         r.sim.mem_write(r.client, r.csrc, &payload).unwrap();
@@ -183,7 +184,7 @@ fn run_gets(r: &mut GetRig, nkeys: u64, depth: u32, keys: &[u64]) -> (Vec<bool>,
             .unwrap();
         r.sim.run().unwrap();
         hits.push(!r.sim.poll_cq(r.crecv_cq, 8).is_empty());
-        r.off.complete_instance();
+        r.off.window_mut().retire();
     }
     let buf = r
         .sim
@@ -273,7 +274,7 @@ fn walk_rig(list_keys: &[u64], depth: u32, opts: DeployOpts) -> WalkRig {
 fn run_walks(r: &mut WalkRig, depth: u32, keys: &[u64]) -> (Vec<bool>, Vec<u8>) {
     let mut hits = Vec::new();
     for &key in keys {
-        let _ = r.off.take_instance().unwrap();
+        let _ = r.off.window_mut().take().unwrap();
         r.sim.post_recv(r.cqp, WorkRequest::recv(0, 0, 0)).unwrap();
         let payload = r.off.client_payload(r.head, key);
         r.sim.mem_write(r.client, r.csrc, &payload).unwrap();
@@ -285,7 +286,7 @@ fn run_walks(r: &mut WalkRig, depth: u32, keys: &[u64]) -> (Vec<bool>, Vec<u8>) 
             .unwrap();
         r.sim.run().unwrap();
         hits.push(!r.sim.poll_cq(r.crecv_cq, 8).is_empty());
-        r.off.complete_instance();
+        r.off.window_mut().retire();
     }
     let buf = r
         .sim

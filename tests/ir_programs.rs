@@ -5,6 +5,7 @@
 use redn::core::ctx::{ChainQueueBuilder, ClientDest, OffloadCtx, TableRegion, ValueSource};
 use redn::core::ir::{DeployOpts, EnableTarget, IrProgram, Kind, Loc, OpBuild, RingSpec, WaitCond};
 use redn::core::offloads::hash_lookup::HashGetVariant;
+use redn::core::offloads::OffloadService;
 use redn::core::program::ConstPool;
 use rnic_sim::config::{HostConfig, NicConfig, SimConfig};
 use rnic_sim::ids::{CqId, NodeId, ProcessId};
@@ -414,7 +415,7 @@ fn unoptimized_recycled_hash_get_still_serves() {
     assert_eq!(rep.before.total(), rep.after.total(), "no passes ran");
     sim.connect_qps(cqp, off.tp.qp).unwrap();
 
-    let _ = off.take_instance().unwrap();
+    let _ = off.window_mut().take().unwrap();
     sim.post_recv(cqp, WorkRequest::recv(0, 0, 0)).unwrap();
     let payload = off.client_payload(0xFACE, &[table + 3 * BUCKET_SIZE]);
     sim.mem_write(client, csrc, &payload).unwrap();
