@@ -312,7 +312,12 @@ mod tests {
             "A must demand >= 4x its cap, got {:.2}x",
             p.demand_x_cap
         );
-        assert!(p.a_shed_posts > 0, "the cap actually engaged");
+        let requests = cfg.clients_per_tenant as u64 * cfg.ops_per_client;
+        assert!(
+            p.a_shed_posts > 0 && p.a_shed_posts <= requests,
+            "the cap engaged, and each of A's {requests} requests is shed at most once: {}",
+            p.a_shed_posts
+        );
         assert!(
             p.a_ops_per_sec <= p.cap_ops_per_sec * 1.25,
             "A holds ~its cap: {:.0} vs cap {:.0}",

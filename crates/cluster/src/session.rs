@@ -19,7 +19,7 @@ use redn_core::offloads::replicate::{
     encode_record, ReplicationBuilder, ReplicationLog, ReplicationOffload,
 };
 use redn_kv::cuckoo::CuckooTable;
-use redn_kv::session::{Completion, Session, SessionOpts};
+use redn_kv::session::{Session, SessionOpts};
 use rnic_sim::cq::CqeStatus;
 use rnic_sim::error::{Error, Result};
 use rnic_sim::ids::{CqId, NodeId, ProcessId, QpId};
@@ -464,17 +464,13 @@ impl ClusterSession {
         let pending = session.get(sim, key)?;
         sim.run()?;
         let want = session.response_tag(pending.instance);
-        let got = session.reap(sim, 16).into_iter().find(|c| c.tag() == want);
-        match got {
-            Some(Completion::Get(_)) | Some(Completion::Walk(_)) => {
-                let v = session.read_value(sim, pending.instance, value_len)?;
-                session.complete();
-                Ok(v)
-            }
-            None => {
-                session.abandon();
-                Err(Error::InvalidWr("get timed out (shard unreachable)"))
-            }
+        if session.reap(sim, 16).iter().any(|c| c.tag() == want) {
+            let v = session.read_value(sim, pending.instance, value_len)?;
+            session.complete();
+            Ok(v)
+        } else {
+            session.abandon();
+            Err(Error::InvalidWr("get timed out (shard unreachable)"))
         }
     }
 

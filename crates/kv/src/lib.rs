@@ -18,12 +18,12 @@
 //!   list-walk offload (the list-side counterpart of the hash table);
 //! * [`session`] — typed client sessions ([`Session`](session::Session))
 //!   over deployed [`OffloadService`](redn_core::offloads::OffloadService)s:
-//!   `get`/`walk` posting, typed pending handles, typed completion reaping;
+//!   `get`/`walk` posting, typed pending handles, completion reaping;
 //! * [`serving`] — the pipelined multi-client serving layer: a
 //!   [`ServingFleet`](serving::ServingFleet) of per-client sessions over a
 //!   heterogeneous service mix (hash-gets + list-walks sharded across one
-//!   NIC), with closed-loop and open-loop load generators (§5.4's traffic
-//!   shape);
+//!   NIC), driven by one run loop with closed- or open-loop arrivals
+//!   (§5.4's traffic shape);
 //! * [`tenancy`] — multi-tenant ring packing and QoS: named
 //!   [`TenantSpec`](tenancy::TenantSpec)s with quotas and rate caps, a
 //!   [`TenantPacker`](tenancy::TenantPacker) bin-packing their offloads
@@ -60,7 +60,7 @@ pub mod prelude {
     pub use crate::liststore::ListStore;
     pub use crate::memcached::MemcachedServer;
     pub use crate::serving::{
-        FleetSpec, FleetStats, ServiceKind, ServiceSpec, ServingFleet, TenantStats,
+        FleetSpec, FleetStats, RunEnd, ServiceKind, ServiceSpec, ServingFleet, TenantStats,
     };
     pub use crate::session::{Completion, Session, SessionOpts};
     pub use crate::store::{hash_key, ValueHeap};

@@ -27,6 +27,7 @@ use rnic_sim::time::Time;
 
 use crate::baselines::{ClientEndpoint, TwoSidedMode, TwoSidedServer};
 use crate::cuckoo::CuckooTable;
+use crate::session::Completion;
 
 /// The Memcached-like store: a cuckoo table plus its registration state.
 pub struct MemcachedServer {
@@ -142,19 +143,8 @@ pub struct PendingGet {
     pub key: u64,
     /// Client-side request/response slot index.
     pub slot: u64,
-    /// When the request was handed to the NIC (for latency accounting;
-    /// open-loop generators may backdate this to the scheduled time).
+    /// When the request was handed to the NIC (for latency accounting).
     pub posted_at: Time,
-}
-
-/// A reaped pipelined-get completion (returned by
-/// [`Session::reap`](crate::session::Session::reap)).
-#[derive(Clone, Copy, Debug)]
-pub struct ReapedGet {
-    /// The completed instance (from the response's immediate data).
-    pub instance: u64,
-    /// Simulated completion time.
-    pub at: Time,
 }
 
 /// Batched non-blocking RedN gets (the engine behind
@@ -187,33 +177,24 @@ pub(crate) fn post_get_burst(
 }
 
 /// Reap up to `max` response completions from `ep`'s receive CQ,
-/// keeping the endpoint's RECV accounting in step. Does not step the
-/// simulator (the engine behind
-/// [`Session::reap`](crate::session::Session::reap)).
-pub(crate) fn reap_gets(sim: &mut Simulator, ep: &ClientEndpoint, max: usize) -> Vec<ReapedGet> {
-    let mut cqes = Vec::new();
-    let mut out = Vec::new();
-    reap_gets_into(sim, ep, max, &mut cqes, &mut out);
-    out
-}
-
-/// Allocation-free [`reap_gets`]: drains completions through the caller's
-/// scratch `cqes` buffer and appends typed reaps to `out`. Long-lived
-/// clients (sessions, fleet generators) reuse one pair of buffers across
-/// every reap instead of allocating two `Vec`s per poll.
+/// keeping the endpoint's RECV accounting in step, and append them to
+/// `out`. Does not step the simulator (the engine behind
+/// [`Session::reap_into`](crate::session::Session::reap_into)). Drains
+/// through the caller's scratch `cqes` buffer, so long-lived clients
+/// reuse one pair of buffers across every reap.
 pub(crate) fn reap_gets_into(
     sim: &mut Simulator,
     ep: &ClientEndpoint,
     max: usize,
     cqes: &mut Vec<Cqe>,
-    out: &mut Vec<ReapedGet>,
+    out: &mut Vec<Completion>,
 ) {
     cqes.clear();
     sim.poll_cq_into(ep.recv_cq, max, cqes);
     for cqe in cqes.iter() {
         ep.note_response_reaped();
-        out.push(ReapedGet {
-            instance: cqe.imm.unwrap_or(0) as u64,
+        out.push(Completion {
+            tag: cqe.imm.unwrap_or(0) as u64,
             at: cqe.time,
         });
     }
@@ -239,9 +220,11 @@ pub fn redn_get(
     let start = sim.now();
     let _pending = post_get_burst(sim, off, ep, &server.table, &[key])?;
     let deadline = sim.now() + Time::from_us(200);
+    let (mut cqes, mut done) = (Vec::new(), Vec::new());
     loop {
         // A single get is outstanding, so any completion is ours.
-        if !reap_gets(sim, ep, 1).is_empty() {
+        reap_gets_into(sim, ep, 1, &mut cqes, &mut done);
+        if !done.is_empty() {
             return Ok((sim.now() - start, true));
         }
         if sim.now() > deadline || !sim.step()? {

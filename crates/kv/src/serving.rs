@@ -16,15 +16,21 @@
 //!   between rounds, zero steady-state host arm calls / doorbells /
 //!   posts / pool pushes) or host-armed;
 //! * every client drives its service through a typed
-//!   [`Session`](crate::session::Session): requests are posted with
+//!   [`Session`]: requests are posted with
 //!   `get_burst`/`walk_burst` (one doorbell per generator tick) and
-//!   reaped as typed [`Completion`]s; reaping retires the instance slot;
-//! * two load generators: **closed-loop** (each client keeps K requests
-//!   outstanding, the Memtier-style generator of §5.4) and **open-loop**
-//!   (each client fires at a fixed offered rate; latency is charged from
-//!   the *scheduled* time, so queueing delay under overload is not
-//!   hidden by coordinated omission — [`FleetStats`] reports both the
-//!   scheduled-time and the service-time distributions).
+//!   reaped as [`Completion`]s; reaping retires the instance slot;
+//! * one run loop with two arrival policies:
+//!   [`ServingFleet::run_closed_loop`] (each client keeps K requests
+//!   outstanding, the Memtier-style generator of §5.4) and
+//!   [`ServingFleet::run_open_loop`] (each client's requests fall due at
+//!   a fixed offered rate; latency is charged from the *scheduled* time,
+//!   so queueing delay under overload is not hidden by coordinated
+//!   omission — [`FleetStats`] reports both the scheduled-time and the
+//!   service-time distributions). Each pass reaps, counts every
+//!   client's due requests, passes them through its tenant's
+//!   [`CreditPacer`], and posts them as one burst; only the rule for
+//!   advancing the simulator differs per policy. [`FleetStats::end`]
+//!   says whether the run completed, drained or hit its deadline.
 //!
 //! Fleet workloads are expected to hit (the population step covers both
 //! key spaces): a missed key yields no response, which a pipelined
@@ -213,6 +219,15 @@ impl FleetSpec {
     }
 }
 
+/// Merge two runs' latency summaries (count-weighted; see
+/// [`LatencyStats::merge`]), keeping whichever side has one.
+fn merge_latency(x: Option<LatencyStats>, y: Option<LatencyStats>) -> Option<LatencyStats> {
+    match (x, y) {
+        (Some(a), Some(b)) => Some(a.merge(&b)),
+        (a, b) => a.or(b),
+    }
+}
+
 /// One tenant's slice of a fleet run — every aggregate stat a
 /// [`FleetStats`] carries, split by owner. A tenant's `elapsed` spans
 /// run start to *its own* last completion, so a paced neighbor's long
@@ -252,10 +267,6 @@ impl TenantStats {
     /// per-tenant analogue of [`FleetStats::merge`]).
     pub fn merge(&self, other: &TenantStats) -> TenantStats {
         debug_assert_eq!(self.tenant, other.tenant);
-        let lat = |x: Option<LatencyStats>, y: Option<LatencyStats>| match (x, y) {
-            (Some(a), Some(b)) => Some(a.merge(&b)),
-            (a, b) => a.or(b),
-        };
         TenantStats {
             tenant: self.tenant.clone(),
             ops: self.ops + other.ops,
@@ -263,13 +274,26 @@ impl TenantStats {
             walk_ops: self.walk_ops + other.walk_ops,
             elapsed: self.elapsed.max(other.elapsed),
             ops_per_sec: self.ops_per_sec + other.ops_per_sec,
-            latency: lat(self.latency, other.latency),
-            service_latency: lat(self.service_latency, other.service_latency),
+            latency: merge_latency(self.latency, other.latency),
+            service_latency: merge_latency(self.service_latency, other.service_latency),
             host_arm_calls: self.host_arm_calls + other.host_arm_calls,
             timeouts: self.timeouts + other.timeouts,
             shed_posts: self.shed_posts + other.shed_posts,
         }
     }
+}
+
+/// How a fleet run ended, from best to worst.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum RunEnd {
+    /// Every client completed every request.
+    Completed,
+    /// The simulator ran out of events with requests still owed: some
+    /// response never came (the in-flight ones count as timeouts, the
+    /// unposted ones appear nowhere).
+    Drained,
+    /// The run's simulated-time deadline passed first.
+    Deadline,
 }
 
 /// Aggregate result of one fleet run.
@@ -327,6 +351,9 @@ pub struct FleetStats {
     /// aggregate above is the sum/merge of these slices plus any
     /// untenanted clients.
     pub per_tenant: Vec<TenantStats>,
+    /// How the run ended; `ops` falls short of the requests asked for
+    /// unless this is [`RunEnd::Completed`].
+    pub end: RunEnd,
 }
 
 impl FleetStats {
@@ -340,12 +367,9 @@ impl FleetStats {
     /// percentiles, exact `max_us`. Per-tenant slices union **by tenant
     /// name**: the same tenant packed on two fleets merges into one
     /// slice (via [`TenantStats::merge`], keeping its distributions);
-    /// tenants unique to one side pass through untouched.
+    /// tenants unique to one side pass through untouched. The merged
+    /// `end` is the worse of the two.
     pub fn merge(&self, other: &FleetStats) -> FleetStats {
-        let lat = |x: Option<LatencyStats>, y: Option<LatencyStats>| match (x, y) {
-            (Some(a), Some(b)) => Some(a.merge(&b)),
-            (a, b) => a.or(b),
-        };
         let load = |x: Option<f64>, y: Option<f64>| match (x, y) {
             (Some(a), Some(b)) => Some(a + b),
             (a, b) => a.or(b),
@@ -363,8 +387,8 @@ impl FleetStats {
             walk_ops: self.walk_ops + other.walk_ops,
             elapsed: self.elapsed.max(other.elapsed),
             ops_per_sec: self.ops_per_sec + other.ops_per_sec,
-            latency: lat(self.latency, other.latency),
-            service_latency: lat(self.service_latency, other.service_latency),
+            latency: merge_latency(self.latency, other.latency),
+            service_latency: merge_latency(self.service_latency, other.service_latency),
             timeouts: self.timeouts + other.timeouts,
             offered_ops_per_sec: load(self.offered_ops_per_sec, other.offered_ops_per_sec),
             host_arm_calls: self.host_arm_calls + other.host_arm_calls,
@@ -376,6 +400,7 @@ impl FleetStats {
             pool_high_water: self.pool_high_water + other.pool_high_water,
             pool_leases: self.pool_leases + other.pool_leases,
             per_tenant,
+            end: self.end.max(other.end),
         }
     }
 }
@@ -392,18 +417,18 @@ enum Stream {
 }
 
 /// One in-flight request (either family — the instance is all the
-/// generators need; values land in the session's response slots).
+/// run loop needs; values land in the session's response slots).
 struct Pending {
     instance: u64,
-    /// When the request was (conceptually) issued — the open-loop
-    /// scheduled time; equals `posted_at` for closed loop.
+    /// When the request was due — the open-loop scheduled time; equals
+    /// `posted_at` for closed loop.
     scheduled_at: Time,
     /// When the request actually reached the NIC.
     posted_at: Time,
 }
 
-/// One serving client: its typed session, its request stream and its
-/// in-flight window.
+/// One serving client: its typed session, its request stream, its
+/// in-flight window and its tallies for the current run.
 struct FleetClient {
     session: Session,
     stream: Stream,
@@ -414,11 +439,18 @@ struct FleetClient {
     tenant: Option<usize>,
     /// Scratch completion buffer reused across reaps.
     comp_buf: Vec<Completion>,
+    /// This run's scheduled-time latencies (see [`FleetStats::latency`]).
+    sched_lat: Vec<Time>,
+    /// This run's post-time latencies.
+    svc_lat: Vec<Time>,
+    /// Host `arm` calls this run.
+    arms: u64,
+    /// This run's latest completion.
+    last_done: Option<Time>,
+    /// Due requests the tenant's pacer refused at the last ask; they
+    /// lead the next ask (see [`CreditPacer::grant`]).
+    refused: u64,
 }
-
-/// One client's reap: `(scheduled, posted)` completion-latency pairs,
-/// host arm calls made, and the latest completion time seen.
-type Reaped = (Vec<(Time, Time)>, u64, Option<Time>);
 
 impl FleetClient {
     /// The client's window: its service's pipeline depth.
@@ -426,20 +458,15 @@ impl FleetClient {
         self.session.service().pipeline_depth()
     }
 
-    /// Reap every pending completion: record it, retire its instance
-    /// slot, and (host-armed, while requests remain) re-arm one
-    /// instance per completion. Returns the `(scheduled, posted)`
-    /// completion-latency pairs, the number of host arm calls, and the
-    /// latest completion time seen (for per-tenant run spans).
+    /// Reap every pending completion: record its latencies, retire its
+    /// instance slot, and (host-armed, while requests remain) re-arm one
+    /// instance per completion.
     fn reap(
         &mut self,
         sim: &mut Simulator,
         pool: &mut ConstPool,
         ops_per_client: u64,
-    ) -> Result<Reaped> {
-        let mut lats = Vec::new();
-        let mut arms = 0u64;
-        let mut last_done: Option<Time> = None;
+    ) -> Result<()> {
         let mut reaped = std::mem::take(&mut self.comp_buf);
         reaped.clear();
         self.session.reap_into(sim, 1024, &mut reaped);
@@ -451,58 +478,139 @@ impl FleetClient {
                 .position(|p| self.session.response_tag(p.instance) == tag)
             {
                 let pending = self.inflight.remove(pos).expect("position just found");
-                lats.push((
-                    done.at() - pending.scheduled_at,
-                    done.at() - pending.posted_at,
-                ));
+                self.sched_lat.push(done.at() - pending.scheduled_at);
+                self.svc_lat.push(done.at() - pending.posted_at);
                 self.reaped += 1;
-                last_done = Some(last_done.map_or(done.at(), |t| t.max(done.at())));
+                self.last_done = self.last_done.max(Some(done.at()));
                 self.session.complete();
             }
             // Replace the consumed instance from the host in host-armed
             // mode (the §3.4 comparison row) — one arm per completion.
             if self.posted < ops_per_client && !self.session.service().window().is_recycled() {
                 self.session.service_mut().arm(sim, pool)?;
-                arms += 1;
+                self.arms += 1;
             }
         }
         self.comp_buf = reaped;
-        Ok((lats, arms, last_done))
+        Ok(())
     }
 
-    /// Post `n` requests from the stream as one burst (one doorbell).
-    fn post_burst(&mut self, sim: &mut Simulator, n: u64) -> Result<()> {
+    /// Post the next `n` requests from the stream as one burst (one
+    /// doorbell); request `j` (counted from the run's start) is stamped
+    /// with `scheduled(j)`.
+    fn post_burst(
+        &mut self,
+        sim: &mut Simulator,
+        n: u64,
+        scheduled: impl Fn(u64) -> Time,
+    ) -> Result<()> {
         if n == 0 {
             return Ok(());
         }
-        let now = sim.now();
-        match &mut self.stream {
+        let posted: Vec<(u64, Time)> = match &mut self.stream {
             Stream::Keys(w) => {
                 let keys: Vec<u64> = (0..n).map(|_| w.next_key()).collect();
-                for p in self.session.get_burst(sim, &keys)? {
-                    self.inflight.push_back(Pending {
-                        instance: p.instance,
-                        scheduled_at: now,
-                        posted_at: p.posted_at,
-                    });
-                }
+                let burst = self.session.get_burst(sim, &keys)?;
+                burst.iter().map(|p| (p.instance, p.posted_at)).collect()
             }
             Stream::Walks { reqs, cursor } => {
                 let pairs: Vec<(u64, u64)> = (0..n as usize)
                     .map(|i| reqs[(*cursor + i) % reqs.len()])
                     .collect();
                 *cursor = (*cursor + n as usize) % reqs.len();
-                for p in self.session.walk_burst(sim, &pairs)? {
-                    self.inflight.push_back(Pending {
-                        instance: p.instance,
-                        scheduled_at: now,
-                        posted_at: p.posted_at,
-                    });
-                }
+                let burst = self.session.walk_burst(sim, &pairs)?;
+                burst.iter().map(|p| (p.instance, p.posted_at)).collect()
             }
+        };
+        for (instance, posted_at) in posted {
+            self.inflight.push_back(Pending {
+                instance,
+                scheduled_at: scheduled(self.posted),
+                posted_at,
+            });
+            self.posted += 1;
         }
-        self.posted += n;
         Ok(())
+    }
+}
+
+/// What a subset of a run's clients did (the whole fleet, or one
+/// tenant's clients).
+#[derive(Default)]
+struct Tally {
+    ops: u64,
+    get_ops: u64,
+    arms: u64,
+    get_arms: u64,
+    /// Requests still in flight — abandoned when the run ends.
+    timeouts: u64,
+    latency: Option<LatencyStats>,
+    service_latency: Option<LatencyStats>,
+    last_done: Option<Time>,
+}
+
+impl Tally {
+    /// Sum `clients`' run tallies. Exact for any client order:
+    /// [`latency_stats`] sorts its samples and sums them as integers.
+    fn of<'a>(clients: impl Iterator<Item = &'a FleetClient>) -> Tally {
+        let (mut sched, mut svc) = (Vec::new(), Vec::new());
+        let mut t = Tally::default();
+        for c in clients {
+            t.ops += c.reaped;
+            t.arms += c.arms;
+            if c.session.is_get() {
+                t.get_ops += c.reaped;
+                t.get_arms += c.arms;
+            }
+            t.timeouts += c.inflight.len() as u64;
+            t.last_done = t.last_done.max(c.last_done);
+            sched.extend_from_slice(&c.sched_lat);
+            svc.extend_from_slice(&c.svc_lat);
+        }
+        let stats = |v: &[Time]| (!v.is_empty()).then(|| latency_stats(v));
+        t.latency = stats(&sched);
+        t.service_latency = stats(&svc);
+        t
+    }
+}
+
+/// How requests arrive at a fleet run's clients — the one difference
+/// between the closed- and open-loop generators.
+#[derive(Clone, Copy)]
+enum Arrivals {
+    /// Each client keeps `k` requests outstanding (capped at its
+    /// pipeline depth): a request is due as soon as a slot frees, and its
+    /// scheduled time is its post time.
+    Closed { k: u32 },
+    /// Client `i`'s `j`-th request is due at
+    /// `start + j * interval_ps + i * stagger_ps`, free slot or not.
+    Open {
+        start: Time,
+        interval_ps: u64,
+        stagger_ps: u64,
+    },
+}
+
+impl Arrivals {
+    /// Requests a client of pipeline `depth` keeps in flight at most.
+    fn window(self, depth: u32) -> u64 {
+        match self {
+            Arrivals::Closed { k } => u64::from(k.clamp(1, depth)),
+            Arrivals::Open { .. } => u64::from(depth),
+        }
+    }
+
+    /// When client `i`'s `j`-th request is due (`None`: whenever its
+    /// window has room).
+    fn due(self, i: usize, j: u64) -> Option<Time> {
+        match self {
+            Arrivals::Closed { .. } => None,
+            Arrivals::Open {
+                start,
+                interval_ps,
+                stagger_ps,
+            } => Some(start + Time::from_ps(j * interval_ps + i as u64 * stagger_ps)),
+        }
     }
 }
 
@@ -510,20 +618,10 @@ impl FleetClient {
 pub struct ServingFleet {
     spec: FleetSpec,
     clients: Vec<FleetClient>,
-    sched_latencies: Vec<Time>,
-    svc_latencies: Vec<Time>,
     server_node: NodeId,
     client_node: NodeId,
-    get_arm_calls: u64,
-    walk_arm_calls: u64,
-    /// Per-tenant accounting, indexed like `spec.tenants` (all empty for
-    /// a single-operator fleet).
-    tenant_sched: Vec<Vec<Time>>,
-    tenant_svc: Vec<Vec<Time>>,
-    tenant_arms: Vec<u64>,
-    tenant_last_done: Vec<Option<Time>>,
-    /// One trigger-path pacer per rate-capped tenant, rebuilt at each
-    /// run's start.
+    /// One trigger-path pacer per rate-capped tenant (indexed like
+    /// `spec.tenants`), rebuilt at each run's start.
     pacers: Vec<Option<CreditPacer>>,
     /// Deploy-time non-interference proof (clean by construction — a
     /// dirty report aborts [`ServingFleet::deploy`]).
@@ -690,6 +788,11 @@ impl ServingFleet {
                     reaped: 0,
                     tenant: svc.tenant,
                     comp_buf: Vec::new(),
+                    sched_lat: Vec::new(),
+                    svc_lat: Vec::new(),
+                    arms: 0,
+                    last_done: None,
+                    refused: 0,
                 });
                 i += 1;
             }
@@ -729,16 +832,8 @@ impl ServingFleet {
         Ok(ServingFleet {
             spec,
             clients,
-            sched_latencies: Vec::new(),
-            svc_latencies: Vec::new(),
             server_node: server.node,
             client_node,
-            get_arm_calls: 0,
-            walk_arm_calls: 0,
-            tenant_sched: vec![Vec::new(); ntenants],
-            tenant_svc: vec![Vec::new(); ntenants],
-            tenant_arms: vec![0; ntenants],
-            tenant_last_done: vec![None; ntenants],
             pacers: vec![None; ntenants],
             isolation,
         })
@@ -757,61 +852,6 @@ impl ServingFleet {
         &self.spec
     }
 
-    /// Fold one client's reaped completions into the fleet's run
-    /// accounting (latency vectors, per-family arm-call counters, and —
-    /// for a tenanted client — the owner's own split).
-    fn record_reaped(
-        &mut self,
-        lats: Vec<(Time, Time)>,
-        arms: u64,
-        is_get: bool,
-        tenant: Option<usize>,
-        last_done: Option<Time>,
-    ) {
-        if let Some(t) = tenant {
-            for &(sched, svc) in &lats {
-                self.tenant_sched[t].push(sched);
-                self.tenant_svc[t].push(svc);
-            }
-            self.tenant_arms[t] += arms;
-            if let Some(at) = last_done {
-                self.tenant_last_done[t] =
-                    Some(self.tenant_last_done[t].map_or(at, |prev| prev.max(at)));
-            }
-        }
-        for (sched, svc) in lats {
-            self.sched_latencies.push(sched);
-            self.svc_latencies.push(svc);
-        }
-        if is_get {
-            self.get_arm_calls += arms;
-        } else {
-            self.walk_arm_calls += arms;
-        }
-    }
-
-    /// Pass a client's ask through its tenant's pacer (if any): returns
-    /// how many posts are granted now, and — when throttled — notes the
-    /// earliest time a credit accrues in `credit_wake` so the run loop
-    /// can jump there instead of spinning.
-    fn grant_posts(
-        pacers: &mut [Option<CreditPacer>],
-        tenant: Option<usize>,
-        now: Time,
-        want: u64,
-        credit_wake: &mut Option<Time>,
-    ) -> u64 {
-        let Some(pacer) = tenant.and_then(|t| pacers[t].as_mut()) else {
-            return want;
-        };
-        let granted = pacer.grant(now, want);
-        if granted < want {
-            let at = pacer.next_credit_at(now);
-            *credit_wake = Some(credit_wake.map_or(at, |w| w.min(at)));
-        }
-        granted
-    }
-
     /// Closed-loop run: every client keeps `k_outstanding` requests in
     /// flight (capped at its pipeline depth) until it has completed
     /// `ops_per_client` requests. A rate-capped tenant's refills pass
@@ -825,50 +865,8 @@ impl ServingFleet {
         ops_per_client: u64,
         k_outstanding: u32,
     ) -> Result<FleetStats> {
-        let start = sim.now();
-        let deadline = start + RUN_DEADLINE;
-        self.begin_run(sim, pool)?;
-        let base = self.counter_base(sim);
-        loop {
-            let mut all_done = true;
-            // Earliest time a throttled tenant accrues a credit — the
-            // wake-up target when pacing has idled the whole simulator.
-            let mut credit_wake: Option<Time> = None;
-            for ci in 0..self.clients.len() {
-                let c = &mut self.clients[ci];
-                let (lats, arms, last_done) = c.reap(sim, pool, ops_per_client)?;
-                let is_get = c.session.is_get();
-                let tenant = c.tenant;
-                self.record_reaped(lats, arms, is_get, tenant, last_done);
-                // Refill the window up to K with the next requests and
-                // fire the whole burst under a single doorbell.
-                let c = &mut self.clients[ci];
-                let k = u64::from(k_outstanding.clamp(1, c.depth()));
-                let room = k.saturating_sub(c.inflight.len() as u64);
-                let want = room.min(ops_per_client - c.posted);
-                let refill =
-                    Self::grant_posts(&mut self.pacers, tenant, sim.now(), want, &mut credit_wake);
-                let c = &mut self.clients[ci];
-                c.post_burst(sim, refill)?;
-                if c.reaped < ops_per_client {
-                    all_done = false;
-                }
-            }
-            if all_done {
-                break;
-            }
-            if sim.now() > deadline {
-                break;
-            }
-            if !sim.step()? {
-                // Drained: only paced posts remain. Jump to the credit.
-                match credit_wake {
-                    Some(t) if t > sim.now() && t <= deadline => sim.run_until(t)?,
-                    _ => break,
-                }
-            }
-        }
-        Ok(self.finish(sim, pool, start, None, base))
+        let arrivals = Arrivals::Closed { k: k_outstanding };
+        self.run(sim, pool, ops_per_client, arrivals)
     }
 
     /// Open-loop run: every client *schedules* a request every
@@ -889,91 +887,112 @@ impl ServingFleet {
             return Err(Error::InvalidWr("open-loop offered rate must be positive"));
         }
         let interval_ps = (1e12 / offered_per_client).round() as u64;
-        let nclients = self.clients.len() as u64;
+        let nclients = self.clients.len();
+        let arrivals = Arrivals::Open {
+            start: sim.now(),
+            interval_ps,
+            stagger_ps: interval_ps / (nclients as u64).max(1),
+        };
+        let mut stats = self.run(sim, pool, ops_per_client, arrivals)?;
+        stats.offered_ops_per_sec = Some(offered_per_client * nclients as f64);
+        Ok(stats)
+    }
+
+    /// The one run loop behind both generators. Each pass, every client
+    /// reaps its completions, counts the requests that are due (they fit
+    /// its window, are still owed, and their due time has come), passes
+    /// that count through its tenant's pacer, posts the grant as one
+    /// burst, and notes when it can next post. Then the simulator
+    /// advances by the policy's rule.
+    fn run(
+        &mut self,
+        sim: &mut Simulator,
+        pool: &mut ConstPool,
+        ops_per_client: u64,
+        arrivals: Arrivals,
+    ) -> Result<FleetStats> {
         let start = sim.now();
         let deadline = start + RUN_DEADLINE;
         self.begin_run(sim, pool)?;
         let base = self.counter_base(sim);
-        // Client i's j-th request is scheduled at start + j*interval + i*stagger.
-        let sched = |i: u64, j: u64| {
-            start + Time::from_ps(j * interval_ps + i * (interval_ps / nclients.max(1)))
-        };
-        loop {
+        let end = loop {
             let mut all_done = true;
-            let mut next_due: Option<Time> = None;
-            for i in 0..self.clients.len() {
-                let c = &mut self.clients[i];
-                let (lats, arms, last_done) = c.reap(sim, pool, ops_per_client)?;
-                let is_get = c.session.is_get();
-                let tenant = c.tenant;
-                self.record_reaped(lats, arms, is_get, tenant, last_done);
-                let c = &mut self.clients[i];
-                // Post every due request the window has room for, as one
-                // burst under a single doorbell, then backdate each
-                // pending handle to its scheduled time. A rate-capped
-                // tenant's due posts are additionally gated by its
-                // pacer: the shortfall stays scheduled (so its latency
-                // keeps accruing from the scheduled time — pacing delay
-                // is charged to the overdriven tenant, not hidden).
-                let depth = u64::from(c.depth());
-                let mut due = 0u64;
-                while c.posted + due < ops_per_client
-                    && sched(i as u64, c.posted + due) <= sim.now()
-                    && (c.inflight.len() as u64) + due < depth
-                {
-                    due += 1;
-                }
-                let mut credit_wake: Option<Time> = None;
-                let granted =
-                    Self::grant_posts(&mut self.pacers, tenant, sim.now(), due, &mut credit_wake);
-                let c = &mut self.clients[i];
-                if granted > 0 {
-                    let first = c.posted;
-                    c.post_burst(sim, granted)?;
-                    let len = c.inflight.len();
-                    for (j, pending) in c
-                        .inflight
-                        .iter_mut()
-                        .skip(len - granted as usize)
-                        .enumerate()
-                    {
-                        pending.scheduled_at = sched(i as u64, first + j as u64);
+            // Earliest time some client can post again: a throttled
+            // tenant's next credit, or an open-loop client's next
+            // scheduled request.
+            let mut wake: Option<Time> = None;
+            for (i, c) in self.clients.iter_mut().enumerate() {
+                c.reap(sim, pool, ops_per_client)?;
+                let now = sim.now();
+                let window = arrivals.window(c.depth());
+                let room = window.saturating_sub(c.inflight.len() as u64);
+                let posted = c.posted;
+                let due = (0..room.min(ops_per_client - posted))
+                    .take_while(|&j| arrivals.due(i, posted + j).is_none_or(|t| t <= now))
+                    .count() as u64;
+                // The pacer is asked on every pass, even for 0 posts:
+                // credits accrue in floating point, so the sequence of
+                // asks fixes the grants. A shortfall stays due, so an
+                // open-loop request's latency keeps accruing from its
+                // scheduled time (pacing delay is charged, not hidden).
+                let (granted, credit_at) = match c.tenant.and_then(|t| self.pacers[t].as_mut()) {
+                    Some(pacer) => {
+                        let granted = pacer.grant(now, due, c.refused);
+                        c.refused = due - granted;
+                        (granted, (granted < due).then(|| pacer.next_credit_at(now)))
                     }
-                }
-                if c.reaped < ops_per_client {
-                    all_done = false;
-                }
-                // A credit-gated client's next post happens when its
-                // tenant's credit accrues, not at the (already-passed)
-                // scheduled time — report that as its due time instead,
-                // so a drained simulator jumps to the credit.
-                if let Some(t) = credit_wake {
-                    let t = t.max(sim.now());
-                    next_due = Some(next_due.map_or(t, |d: Time| d.min(t)));
-                } else if c.posted < ops_per_client && (c.inflight.len() as u64) < depth {
-                    let due = sched(i as u64, c.posted);
-                    next_due = Some(next_due.map_or(due, |t: Time| t.min(due)));
+                    None => (due, None),
+                };
+                c.post_burst(sim, granted, |j| arrivals.due(i, j).unwrap_or(now))?;
+                all_done &= c.reaped >= ops_per_client;
+                let next = credit_at.or_else(|| {
+                    let can_post = c.posted < ops_per_client && (c.inflight.len() as u64) < window;
+                    can_post.then(|| arrivals.due(i, c.posted)).flatten()
+                });
+                if let Some(t) = next {
+                    wake = Some(wake.map_or(t, |w| w.min(t)));
                 }
             }
             if all_done {
-                break;
+                break RunEnd::Completed;
             }
-            if sim.now() > deadline {
-                break;
+            let now = sim.now();
+            if now > deadline {
+                break RunEnd::Deadline;
             }
-            match next_due {
-                // Nothing to do until the next scheduled post: jump there.
-                Some(t) if t > sim.now() => sim.run_until(t)?,
-                // A post is due now (window full) or only reaps remain.
-                _ => {
-                    if !sim.step()? {
-                        break;
-                    }
+            let advanced = match arrivals {
+                // Closed loop: step; only once the simulator drains (just
+                // paced posts remain) jump to the next credit.
+                Arrivals::Closed { .. } => {
+                    sim.step()?
+                        || match wake {
+                            Some(t) if t > now && t <= deadline => {
+                                sim.run_until(t)?;
+                                true
+                            }
+                            _ => false,
+                        }
                 }
+                // Open loop: jump to the next post when it lies ahead;
+                // otherwise (a post is due with the window full, or only
+                // reaps remain) step.
+                Arrivals::Open { .. } => match wake {
+                    Some(t) if t > now => {
+                        sim.run_until(t)?;
+                        true
+                    }
+                    _ => sim.step()?,
+                },
+            };
+            if !advanced {
+                // A next credit past the deadline is a deadline break.
+                break match wake {
+                    Some(t) if t > deadline => RunEnd::Deadline,
+                    _ => RunEnd::Drained,
+                };
             }
-        }
-        let offered = offered_per_client * self.clients.len() as f64;
-        Ok(self.finish(sim, pool, start, Some(offered), base))
+        };
+        Ok(self.finish(sim, pool, start, base, end))
     }
 
     /// Reset per-run accounting and top every host-armed client's
@@ -983,15 +1002,7 @@ impl ServingFleet {
     /// fleet would otherwise drain the pipeline dry. Self-recycling
     /// services re-arm on the NIC — nothing to do.
     fn begin_run(&mut self, sim: &mut Simulator, pool: &mut ConstPool) -> Result<()> {
-        self.get_arm_calls = 0;
-        self.walk_arm_calls = 0;
-        self.sched_latencies.clear();
-        self.svc_latencies.clear();
         for t in 0..self.spec.tenants.len() {
-            self.tenant_sched[t].clear();
-            self.tenant_svc[t].clear();
-            self.tenant_arms[t] = 0;
-            self.tenant_last_done[t] = None;
             // Rebuild each rate-capped tenant's pacer at the run's
             // clock: a burst allowance of the tenant's total pipeline
             // depth lets it fill its windows once, after which refills
@@ -1009,6 +1020,11 @@ impl ServingFleet {
         for c in &mut self.clients {
             c.posted = 0;
             c.reaped = 0;
+            c.sched_lat.clear();
+            c.svc_lat.clear();
+            c.arms = 0;
+            c.last_done = None;
+            c.refused = 0;
             c.session.service_mut().prime(sim, pool)?;
         }
         Ok(())
@@ -1029,95 +1045,60 @@ impl ServingFleet {
         sim: &Simulator,
         pool: &ConstPool,
         start: Time,
-        offered: Option<f64>,
         base: (u64, u64, u64),
+        end: RunEnd,
     ) -> FleetStats {
-        let ntenants = self.spec.tenants.len();
-        let mut timeouts = 0u64;
-        let mut tenant_timeouts = vec![0u64; ntenants];
-        for c in &mut self.clients {
-            timeouts += c.inflight.len() as u64;
-            if let Some(t) = c.tenant {
-                tenant_timeouts[t] += c.inflight.len() as u64;
-            }
-            for _ in c.inflight.drain(..) {
-                c.session.abandon();
-            }
-        }
-        let ops: u64 = self.clients.iter().map(|c| c.reaped).sum();
-        let get_ops: u64 = self
-            .clients
-            .iter()
-            .filter(|c| c.session.is_get())
-            .map(|c| c.reaped)
-            .sum();
         let elapsed = sim.now() - start;
-        let secs = elapsed.as_us_f64() / 1e6;
-        let stats_of = |v: &[Time]| {
-            if v.is_empty() {
-                None
-            } else {
-                Some(latency_stats(v))
-            }
-        };
-        let per_tenant = (0..ntenants)
+        let per_sec = |ops: u64, secs: f64| if secs > 0.0 { ops as f64 / secs } else { 0.0 };
+        let per_tenant = (0..self.spec.tenants.len())
             .map(|t| {
-                let ops: u64 = self
-                    .clients
-                    .iter()
-                    .filter(|c| c.tenant == Some(t))
-                    .map(|c| c.reaped)
-                    .sum();
-                let get_ops: u64 = self
-                    .clients
-                    .iter()
-                    .filter(|c| c.tenant == Some(t) && c.session.is_get())
-                    .map(|c| c.reaped)
-                    .sum();
+                let tally = Tally::of(self.clients.iter().filter(|c| c.tenant == Some(t)));
                 // The tenant's own span: run start to its last
                 // completion. A rate-capped tenant finishing long after
                 // its neighbors must not dilute their throughput (nor
                 // have its own inflated by the fleet-wide clock).
-                let t_elapsed = self.tenant_last_done[t].map_or(elapsed, |at| at - start);
-                let t_secs = t_elapsed.as_secs_f64();
+                let t_elapsed = tally.last_done.map_or(elapsed, |at| at - start);
                 TenantStats {
                     tenant: self.spec.tenants[t].name.clone(),
-                    ops,
-                    get_ops,
-                    walk_ops: ops - get_ops,
+                    ops: tally.ops,
+                    get_ops: tally.get_ops,
+                    walk_ops: tally.ops - tally.get_ops,
                     elapsed: t_elapsed,
-                    ops_per_sec: if t_secs > 0.0 {
-                        ops as f64 / t_secs
-                    } else {
-                        0.0
-                    },
-                    latency: stats_of(&self.tenant_sched[t]),
-                    service_latency: stats_of(&self.tenant_svc[t]),
-                    host_arm_calls: self.tenant_arms[t],
-                    timeouts: tenant_timeouts[t],
+                    ops_per_sec: per_sec(tally.ops, t_elapsed.as_secs_f64()),
+                    latency: tally.latency,
+                    service_latency: tally.service_latency,
+                    host_arm_calls: tally.arms,
+                    timeouts: tally.timeouts,
                     shed_posts: self.pacers[t].as_ref().map_or(0, |p| p.shed()),
                 }
             })
             .collect();
+        let all = Tally::of(self.clients.iter());
+        for c in &mut self.clients {
+            for _ in c.inflight.drain(..) {
+                c.session.abandon();
+            }
+        }
         FleetStats {
-            ops,
-            get_ops,
-            walk_ops: ops - get_ops,
+            ops: all.ops,
+            get_ops: all.get_ops,
+            walk_ops: all.ops - all.get_ops,
             elapsed,
-            ops_per_sec: if secs > 0.0 { ops as f64 / secs } else { 0.0 },
-            latency: stats_of(&self.sched_latencies),
-            service_latency: stats_of(&self.svc_latencies),
-            timeouts,
-            offered_ops_per_sec: offered,
-            host_arm_calls: self.get_arm_calls + self.walk_arm_calls,
-            get_arm_calls: self.get_arm_calls,
-            walk_arm_calls: self.walk_arm_calls,
+            ops_per_sec: per_sec(all.ops, elapsed.as_us_f64() / 1e6),
+            latency: all.latency,
+            service_latency: all.service_latency,
+            timeouts: all.timeouts,
+            offered_ops_per_sec: None,
+            host_arm_calls: all.arms,
+            get_arm_calls: all.get_arms,
+            walk_arm_calls: all.arms - all.get_arms,
             server_doorbells: sim.node_doorbells(self.server_node) - base.0,
             server_posts: sim.node_posts(self.server_node) - base.1,
             client_doorbells: sim.node_doorbells(self.client_node) - base.2,
             pool_high_water: pool.high_water(),
             pool_leases: pool.leases(),
             per_tenant,
+            end,
         }
     }
 }
@@ -1195,6 +1176,7 @@ mod tests {
         let stats = fleet
             .run_closed_loop(&mut sim, ctx.pool_mut(), 50, 4)
             .unwrap();
+        assert_eq!(stats.end, RunEnd::Completed);
         assert_eq!(stats.ops, 4 * 50);
         assert_eq!(stats.get_ops, stats.ops);
         assert_eq!(stats.walk_ops, 0);
@@ -1362,6 +1344,30 @@ mod tests {
     }
 
     #[test]
+    fn missed_keys_end_a_host_armed_run_drained() {
+        // Keys 1..=256 are populated; client 0 asks for 1..=256 and
+        // client 1 for 257..=512, none of which answers.
+        let (mut sim, c, server, mut ctx) = rig(256);
+        let spec = FleetSpec::gets(2, 4, HashGetVariant::Sequential, false);
+        let mut fleet = ServingFleet::deploy(
+            &mut sim,
+            &mut ctx,
+            &server,
+            None,
+            c,
+            spec,
+            per_client_workloads(2, 512),
+        )
+        .unwrap();
+        let stats = fleet
+            .run_closed_loop(&mut sim, ctx.pool_mut(), 50, 4)
+            .unwrap();
+        assert_eq!(stats.end, RunEnd::Drained);
+        assert_eq!(stats.ops, 50, "only the populated half completes");
+        assert_eq!(stats.timeouts, 4, "client 1's window of misses");
+    }
+
+    #[test]
     fn host_armed_mode_still_serves_and_reports_its_cost() {
         let (mut sim, c, server, mut ctx) = rig(512);
         let spec = FleetSpec::gets(2, 4, HashGetVariant::Parallel, false);
@@ -1442,6 +1448,7 @@ mod tests {
             pool_high_water: 4096,
             pool_leases: 7,
             per_tenant: vec![],
+            end: RunEnd::Completed,
         };
         let mut b = a.clone();
         b.ops = 300;
@@ -1564,7 +1571,11 @@ mod tests {
             "capped tenant holds ~its cap, got {}",
             capped.ops_per_sec
         );
-        assert!(capped.shed_posts > 0, "the cap actually engaged");
+        assert!(
+            capped.shed_posts > 0 && capped.shed_posts <= 100,
+            "the cap engaged, and each of the 100 requests is shed at most once: {}",
+            capped.shed_posts
+        );
         assert_eq!(free.shed_posts, 0, "the neighbor shed nothing");
         assert!(
             free.ops_per_sec > 3.0 * capped.ops_per_sec,

@@ -11,10 +11,9 @@
 //!   (§3.4), returning [`PendingGet`] handles;
 //! * [`Session::walk`] / [`Session::walk_burst`] — linked-list
 //!   traversals (§3.3), returning [`PendingWalk`] handles;
-//! * [`Session::reap`] — drains response completions as a typed
-//!   [`Completion`] enum, so heterogeneous callers (the mixed
-//!   [`ServingFleet`](crate::serving::ServingFleet)) can tell service
-//!   families apart without re-deriving them from context.
+//! * [`Session::reap`] — drains response completions as
+//!   [`Completion`]s (response tag and time; both families answer the
+//!   same way, and [`Session::is_get`] names the family).
 //!
 //! Posting through the wrong session kind is an error, not a silent
 //! misroute: `session.walk(...)` on a get session fails before anything
@@ -36,7 +35,7 @@ use rnic_sim::time::Time;
 use crate::baselines::ClientEndpoint;
 use crate::cuckoo::CuckooTable;
 use crate::liststore::ListStore;
-use crate::memcached::{post_get_burst, reap_gets_into, MemcachedServer, PendingGet, ReapedGet};
+use crate::memcached::{post_get_burst, reap_gets_into, MemcachedServer, PendingGet};
 
 /// Deployment knobs shared by both session kinds (what the fleet varies
 /// per client when sharding services across the NIC).
@@ -77,27 +76,17 @@ pub struct PendingWalk {
     pub key: u64,
     /// Client-side request/response slot index.
     pub slot: u64,
-    /// When the request was handed to the NIC (open-loop generators may
-    /// backdate this to the scheduled time).
+    /// When the request was handed to the NIC.
     pub posted_at: Time,
 }
 
-/// A reaped list-walk completion.
-#[derive(Clone, Copy, Debug)]
-pub struct ReapedWalk {
-    /// The completed instance's response tag (from the immediate).
-    pub instance: u64,
-    /// Simulated completion time.
-    pub at: Time,
-}
-
-/// One reaped completion, typed by the service family that produced it.
-#[derive(Clone, Copy, Debug)]
-pub enum Completion {
-    /// A hash-get response.
-    Get(ReapedGet),
-    /// A list-walk response.
-    Walk(ReapedWalk),
+/// One reaped response completion. Both service families answer with a
+/// WRITE_IMM whose immediate is the response tag, so one shape serves
+/// both; [`Session::is_get`] says which family a session drives.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Completion {
+    pub(crate) tag: u64,
+    pub(crate) at: Time,
 }
 
 impl Completion {
@@ -105,18 +94,12 @@ impl Completion {
     /// self-recycling) — match against
     /// [`Session::response_tag`] of the pending handle's instance.
     pub fn tag(&self) -> u64 {
-        match self {
-            Completion::Get(g) => g.instance,
-            Completion::Walk(w) => w.instance,
-        }
+        self.tag
     }
 
     /// Simulated completion time.
     pub fn at(&self) -> Time {
-        match self {
-            Completion::Get(g) => g.at,
-            Completion::Walk(w) => w.at,
-        }
+        self.at
     }
 }
 
@@ -140,8 +123,6 @@ pub struct Session {
     bound: Bound,
     /// Scratch CQE buffer reused across reaps (no per-poll allocation).
     cqe_buf: Vec<Cqe>,
-    /// Scratch typed-reap buffer reused across reaps.
-    reap_buf: Vec<ReapedGet>,
 }
 
 impl Session {
@@ -180,7 +161,6 @@ impl Session {
                 table: server.table.clone(),
             },
             cqe_buf: Vec::new(),
-            reap_buf: Vec::new(),
         })
     }
 
@@ -228,7 +208,6 @@ impl Session {
             ep,
             bound: Bound::Walk { off },
             cqe_buf: Vec::new(),
-            reap_buf: Vec::new(),
         })
     }
 
@@ -325,29 +304,18 @@ impl Session {
             })
     }
 
-    /// Reap up to `max` completions, typed by the session's service
-    /// family. Does not step the simulator.
+    /// Reap up to `max` completions. Does not step the simulator.
     pub fn reap(&mut self, sim: &mut Simulator, max: usize) -> Vec<Completion> {
         let mut out = Vec::new();
         self.reap_into(sim, max, &mut out);
         out
     }
 
-    /// Allocation-free [`Session::reap`]: appends typed completions to
-    /// `out`, recycling the session's internal scratch buffers. Fleet
-    /// generators call this with one buffer per client per run.
+    /// Allocation-free [`Session::reap`]: appends completions to `out`,
+    /// recycling the session's scratch CQE buffer. Fleet generators call
+    /// this with one buffer per client per run.
     pub fn reap_into(&mut self, sim: &mut Simulator, max: usize, out: &mut Vec<Completion>) {
-        self.reap_buf.clear();
-        reap_gets_into(sim, &self.ep, max, &mut self.cqe_buf, &mut self.reap_buf);
-        match self.bound {
-            Bound::Get { .. } => out.extend(self.reap_buf.drain(..).map(Completion::Get)),
-            Bound::Walk { .. } => out.extend(self.reap_buf.drain(..).map(|g| {
-                Completion::Walk(ReapedWalk {
-                    instance: g.instance,
-                    at: g.at,
-                })
-            })),
-        }
+        reap_gets_into(sim, &self.ep, max, &mut self.cqe_buf, out);
     }
 
     /// The response tag `instance`'s completion will carry (see
@@ -412,8 +380,8 @@ mod tests {
         sim.run().unwrap();
         let done = session.reap(&mut sim, 16);
         assert_eq!(done.len(), 4);
+        assert!(session.is_get());
         for c in &done {
-            assert!(matches!(c, Completion::Get(_)), "typed as a get");
             let p = pending
                 .iter()
                 .find(|p| session.response_tag(p.instance) == c.tag())
@@ -451,8 +419,8 @@ mod tests {
         sim.run().unwrap();
         let done = session.reap(&mut sim, 16);
         assert_eq!(done.len(), 4, "every walk responds");
+        assert!(!session.is_get());
         for c in &done {
-            assert!(matches!(c, Completion::Walk(_)), "typed as a walk");
             let p = pending
                 .iter()
                 .find(|p| session.response_tag(p.instance) == c.tag())

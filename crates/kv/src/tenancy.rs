@@ -28,8 +28,8 @@
 //! * [`CreditPacer`] — a token bucket over simulated time that the
 //!   serving loops consult before posting a paced tenant's trigger
 //!   batches on its cyclic trigger RQs: an overloaded tenant's posts
-//!   are deferred (`shed` counts them), so it sheds its *own* load
-//!   instead of its neighbors'.
+//!   are deferred (`shed` counts each deferred request once), so it
+//!   sheds its *own* load instead of its neighbors'.
 //!
 //! [`DeploymentVerifier`]: redn_core::ir::analysis::DeploymentVerifier
 
@@ -398,11 +398,11 @@ impl TenantPacker {
 /// A token bucket over simulated time: the trigger-path rate limiter
 /// behind [`TenantSpec::rate_cap_ops_per_sec`].
 ///
-/// The serving loops call [`CreditPacer::grant`] before posting a paced
-/// tenant's trigger batch; a grant smaller than the ask defers the
+/// The fleet's run loop calls [`CreditPacer::grant`] before posting a
+/// paced tenant's trigger batch; a grant smaller than the ask defers the
 /// remainder (counted in [`CreditPacer::shed`]) until credits accrue —
 /// the caller jumps the simulator to [`CreditPacer::next_credit_at`]
-/// instead of busy-waiting.
+/// instead of busy-waiting, then asks again.
 #[derive(Clone, Debug)]
 pub struct CreditPacer {
     rate_per_sec: f64,
@@ -434,13 +434,16 @@ impl CreditPacer {
         self.last = self.last.max(now);
     }
 
-    /// Grant up to `want` posts at `now`. The shortfall is recorded as
-    /// shed (deferred) load.
-    pub fn grant(&mut self, now: Time, want: u64) -> u64 {
+    /// Grant up to `want` posts at `now`, oldest first. The first
+    /// `refused` of them are posts this pacer already refused at the
+    /// caller's previous ask; the shortfall is recorded as shed
+    /// (deferred) load, except for those re-asked posts that stay
+    /// refused, so every deferred post is counted once.
+    pub fn grant(&mut self, now: Time, want: u64, refused: u64) -> u64 {
         self.accrue(now);
         let granted = (self.credits.floor() as u64).min(want);
         self.credits -= granted as f64;
-        self.shed += want - granted;
+        self.shed += (want - granted).saturating_sub(refused.saturating_sub(granted));
         granted
     }
 
@@ -458,8 +461,8 @@ impl CreditPacer {
         now + Time::from_ps((secs * 1e12).ceil() as u64)
     }
 
-    /// Posts deferred so far (each re-asked `want` counts again — this
-    /// measures pacing pressure, not unique requests).
+    /// Posts deferred so far, each counted once: at the first ask that
+    /// refused it, however often it is re-asked before it goes out.
     pub fn shed(&self) -> u64 {
         self.shed
     }
@@ -589,14 +592,18 @@ mod tests {
     fn credit_pacer_grants_at_rate_and_sheds_overload() {
         // 1M ops/s, burst 4.
         let mut p = CreditPacer::new(1e6, 4.0, Time::ZERO);
-        assert_eq!(p.grant(Time::ZERO, 8), 4, "burst bounds the first grant");
+        assert_eq!(p.grant(Time::ZERO, 8, 0), 4, "burst bounds the first grant");
         assert_eq!(p.shed(), 4);
-        assert_eq!(p.grant(Time::ZERO, 4), 0, "no credits left at t=0");
+        assert_eq!(p.grant(Time::ZERO, 4, 4), 0, "no credits left at t=0");
+        assert_eq!(p.shed(), 4, "a re-asked deferred post is not shed again");
         let wake = p.next_credit_at(Time::ZERO);
         assert_eq!(wake, Time::from_us(1), "1 credit per us at 1M/s");
-        assert_eq!(p.grant(wake, 4), 1, "exactly one credit accrued");
-        // A long idle gap accrues at most `burst`.
-        assert_eq!(p.grant(Time::from_secs(1), 100), 4);
+        assert_eq!(p.grant(wake, 4, 4), 1, "exactly one credit accrued");
+        assert_eq!(p.shed(), 4);
+        // A long idle gap accrues at most `burst`; the 3 still-deferred
+        // posts go out first, so all 96 refused now are new.
+        assert_eq!(p.grant(Time::from_secs(1), 100, 3), 4);
+        assert_eq!(p.shed(), 100);
     }
 
     #[test]

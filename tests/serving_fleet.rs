@@ -8,7 +8,7 @@ use redn::core::ctx::OffloadCtx;
 use redn::core::offloads::hash_lookup::HashGetVariant;
 use redn::kv::memcached::MemcachedServer;
 use redn::kv::serving::{sync_baseline_ops_per_sec, FleetSpec, ServingFleet};
-use redn::kv::session::{Completion, Session, SessionOpts};
+use redn::kv::session::{Session, SessionOpts};
 use redn::kv::workload::Workload;
 use rnic_sim::config::{HostConfig, LinkConfig, NicConfig, SimConfig};
 use rnic_sim::ids::{NodeId, ProcessId};
@@ -116,7 +116,7 @@ fn session_post_reap_round_trips_values_through_instance_slots() {
     assert_eq!(session.endpoint().live_requests(), 0);
     assert_eq!(session.endpoint().outstanding_recvs(), 0);
     for done in reaped {
-        assert!(matches!(done, Completion::Get(_)), "typed get completion");
+        assert!(session.is_get(), "a get session reaps get completions");
         let p = pending
             .iter()
             .find(|p| session.response_tag(p.instance) == done.tag())

@@ -10,7 +10,7 @@ use redn::core::ctx::OffloadCtx;
 use redn::core::offloads::hash_lookup::HashGetVariant;
 use redn::kv::liststore::ListStore;
 use redn::kv::memcached::MemcachedServer;
-use redn::kv::serving::{FleetSpec, FleetStats, ServingFleet};
+use redn::kv::serving::{FleetSpec, FleetStats, RunEnd, ServingFleet};
 use redn::kv::tenancy::{NicGeometry, PackError, TenantPacker, TenantQuotas, TenantSpec};
 use redn::kv::workload::Workload;
 use rnic_sim::config::{HostConfig, LinkConfig, NicConfig, SimConfig};
@@ -242,7 +242,12 @@ fn noisy_neighbor_overload_stays_confined_to_the_noisy_tenant() {
         "A demanded only {:.2}x its cap",
         p.demand_x_cap
     );
-    assert!(p.a_shed_posts > 0, "A's pacer never engaged");
+    let requests = cfg.clients_per_tenant as u64 * cfg.ops_per_client;
+    assert!(
+        p.a_shed_posts > 0 && p.a_shed_posts <= requests,
+        "A's pacer must engage and shed each of {requests} requests at most once: {}",
+        p.a_shed_posts
+    );
     assert!(
         p.p99_ratio <= 1.5,
         "B's p99 degraded {:.2}x solo (> 1.5x)",
@@ -253,6 +258,64 @@ fn noisy_neighbor_overload_stays_confined_to_the_noisy_tenant() {
         "B's throughput fell to {:.2}x solo (< 0.9x)",
         p.tput_ratio
     );
+}
+
+/// The open loop paces a rate-capped tenant too: every request still
+/// completes, the capped tenant's pacing delay is charged to its
+/// scheduled-time latency, and its unpaced neighbor stays within the
+/// noisy-neighbor bound (1.5x) of its solo p99.
+#[test]
+fn open_loop_paces_a_capped_tenant_and_spares_its_neighbor() {
+    const OPS: u64 = 100;
+    // Per client; the capped tenant is offered 4x its cap.
+    const RATE: f64 = 100_000.0;
+    let gets = |name: &str| TenantSpec::new(name).with_gets(1, 4, HashGetVariant::Sequential, true);
+    let (mut sim, mut ctx, _server, mut fleet) = deploy_packed(&[gets("free")]);
+    let solo = fleet
+        .run_open_loop(&mut sim, ctx.pool_mut(), OPS, RATE)
+        .unwrap();
+    let (mut sim, mut ctx, _server, mut fleet) =
+        deploy_packed(&[gets("capped").rate_cap(RATE / 4.0), gets("free")]);
+    let packed = fleet
+        .run_open_loop(&mut sim, ctx.pool_mut(), OPS, RATE)
+        .unwrap();
+    assert_eq!(packed.end, RunEnd::Completed);
+    assert_eq!(
+        packed.ops,
+        2 * OPS,
+        "pacing defers posts, it never drops them"
+    );
+    let capped = &packed.per_tenant[0];
+    let (sched, svc) = (
+        capped.latency.unwrap().p99_us,
+        capped.service_latency.unwrap().p99_us,
+    );
+    assert!(
+        sched > svc,
+        "pacing delay must be charged: sched p99 {sched} vs service p99 {svc}"
+    );
+    assert!(capped.shed_posts > 0 && capped.shed_posts <= OPS);
+    let free_p99 = packed.per_tenant[1].latency.unwrap().p99_us;
+    let solo_p99 = solo.per_tenant[0].latency.unwrap().p99_us;
+    assert!(
+        free_p99 <= 1.5 * solo_p99,
+        "neighbor p99 {free_p99} vs solo {solo_p99} (> 1.5x)"
+    );
+}
+
+/// A tenant capped far below its demand cannot finish before the run's
+/// simulated-time deadline; the run says so with a typed end.
+#[test]
+fn a_run_paced_past_its_deadline_ends_typed() {
+    let slow = TenantSpec::new("slow")
+        .with_gets(1, 4, HashGetVariant::Sequential, true)
+        .rate_cap(10.0);
+    let (mut sim, mut ctx, _server, mut fleet) = deploy_packed(&[slow]);
+    let stats = fleet
+        .run_closed_loop(&mut sim, ctx.pool_mut(), 100, 4)
+        .unwrap();
+    assert_eq!(stats.end, RunEnd::Deadline);
+    assert!(stats.ops < 100, "{} ops in 5 s at 10 ops/s", stats.ops);
 }
 
 fn run_pair(a: &str, b: &str) -> FleetStats {
