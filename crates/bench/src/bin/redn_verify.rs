@@ -50,6 +50,7 @@ use redn_kv::workload::Workload;
 use rnic_sim::config::{HostConfig, NicConfig, SimConfig};
 use rnic_sim::error::Result;
 use rnic_sim::ids::ProcessId;
+use rnic_sim::json::Json;
 use rnic_sim::mem::Access;
 use rnic_sim::sim::Simulator;
 
@@ -261,18 +262,19 @@ fn stage(name: &str, ok: &mut bool, run: impl FnOnce() -> Result<Option<Analysis
             println!("{}", report.to_json());
         }
         Ok(None) => {
-            println!(
-                "{{\"subject\":\"{}\",\"clean\":true,\"note\":\"analyzed at deploy\"}}",
-                name
-            );
+            let line = Json::obj()
+                .field("subject", name)
+                .field("clean", true)
+                .field("note", "analyzed at deploy");
+            println!("{}", line.line());
         }
         Err(e) => {
             *ok = false;
-            println!(
-                "{{\"subject\":\"{}\",\"clean\":false,\"error\":\"{}\"}}",
-                name,
-                format!("{:?}", e).replace('"', "'")
-            );
+            let line = Json::obj()
+                .field("subject", name)
+                .field("clean", false)
+                .field("error", format!("{e:?}"));
+            println!("{}", line.line());
         }
     }
 }

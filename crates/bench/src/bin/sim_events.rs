@@ -26,6 +26,7 @@ use redn_bench::servebench::{closed_point, SweepConfig};
 use rnic_sim::config::{HostConfig, NicConfig, SimConfig};
 use rnic_sim::engine::{BaselineHeapQueue, EventKind, EventQueue};
 use rnic_sim::ids::WqId;
+use rnic_sim::json::Json;
 use rnic_sim::qp::QpConfig;
 use rnic_sim::sim::Simulator;
 use rnic_sim::time::Time;
@@ -81,6 +82,13 @@ impl Measured {
 
     fn allocs_per_op(&self) -> f64 {
         self.allocs as f64 / self.ops.max(1) as f64
+    }
+
+    fn to_json(&self) -> Json {
+        Json::obj()
+            .field("ops", self.ops)
+            .field("events_per_sec", Json::fixed(self.ops_per_sec(), 1))
+            .field("allocs_per_op", Json::fixed(self.allocs_per_op(), 4))
     }
 }
 
@@ -205,7 +213,6 @@ struct LargeSweep {
     clients: usize,
     total_ops: u64,
     sim_ops_per_sec: f64,
-    events: u64,
     timeouts: u64,
     threads: usize,
     wall_secs: f64,
@@ -270,21 +277,22 @@ fn large_sweep(shards: usize, clients_per_shard: usize, ops_per_client: u64) -> 
         clients: shards * clients_per_shard,
         total_ops,
         sim_ops_per_sec,
-        events: 0,
         timeouts,
         threads,
         wall_secs,
     }
 }
 
-fn row_json(name: &str, m: &Measured) -> String {
-    format!(
-        "  \"{}\": {{\"ops\":{},\"events_per_sec\":{:.1},\"allocs_per_op\":{:.4}}}",
-        name,
-        m.ops,
-        m.ops_per_sec(),
-        m.allocs_per_op()
-    )
+impl LargeSweep {
+    fn to_json(&self) -> Json {
+        Json::obj()
+            .field("clients", self.clients)
+            .field("ops", self.total_ops)
+            .field("sim_ops_per_sec", Json::fixed(self.sim_ops_per_sec, 1))
+            .field("timeouts", self.timeouts)
+            .field("threads", self.threads)
+            .field("wall_secs", Json::fixed(self.wall_secs, 3))
+    }
 }
 
 fn main() {
@@ -334,19 +342,14 @@ fn main() {
         dispatch.allocs_per_op()
     );
 
-    let mut out = String::from("{\n");
-    out.push_str(&row_json("wheel", &wheel));
-    out.push_str(",\n");
-    out.push_str(&row_json("heap", &heap));
-    out.push_str(",\n");
-    out.push_str(&row_json("slab", &slab));
-    out.push_str(",\n");
-    out.push_str(&row_json("hashmap", &hashmap));
-    out.push_str(",\n");
-    out.push_str(&row_json("dispatch", &dispatch));
-    out.push_str(&format!(
-        ",\n  \"wheel_vs_heap_speedup\": {wheel_speedup:.3},\n  \"slab_vs_hashmap_speedup\": {slab_speedup:.3}"
-    ));
+    let mut doc = Json::obj()
+        .field("wheel", wheel.to_json())
+        .field("heap", heap.to_json())
+        .field("slab", slab.to_json())
+        .field("hashmap", hashmap.to_json())
+        .field("dispatch", dispatch.to_json())
+        .field("wheel_vs_heap_speedup", Json::fixed(wheel_speedup, 3))
+        .field("slab_vs_hashmap_speedup", Json::fixed(slab_speedup, 3));
 
     // Sharded closed-loop sweeps. The small one always runs (its
     // simulated throughput is the deterministic CI anchor); `--large`
@@ -361,11 +364,7 @@ fn main() {
         sweep.threads,
         sweep.wall_secs
     );
-    let _ = sweep.events;
-    out.push_str(&format!(
-        ",\n  \"sweep\": {{\"clients\":{},\"ops\":{},\"sim_ops_per_sec\":{:.1},\"timeouts\":{},\"threads\":{},\"wall_secs\":{:.3}}}",
-        sweep.clients, sweep.total_ops, sweep.sim_ops_per_sec, sweep.timeouts, sweep.threads, sweep.wall_secs
-    ));
+    doc = doc.field("sweep", sweep.to_json());
     if large {
         let big = large_sweep(16, 8, 8_192); // 128 clients, ~1.05M ops
         println!(
@@ -377,12 +376,8 @@ fn main() {
             big.threads,
             big.wall_secs
         );
-        out.push_str(&format!(
-            ",\n  \"large_sweep\": {{\"clients\":{},\"ops\":{},\"sim_ops_per_sec\":{:.1},\"timeouts\":{},\"threads\":{},\"wall_secs\":{:.3}}}",
-            big.clients, big.total_ops, big.sim_ops_per_sec, big.timeouts, big.threads, big.wall_secs
-        ));
+        doc = doc.field("large_sweep", big.to_json());
     }
-    out.push_str("\n}\n");
-    std::fs::write(&out_path, out).expect("write artifact");
+    std::fs::write(&out_path, doc.document()).expect("write artifact");
     println!("# wrote {out_path}");
 }

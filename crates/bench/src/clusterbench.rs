@@ -33,7 +33,7 @@ use redn_cluster::session::ClusterSession;
 use redn_core::offloads::hash_lookup::HashGetVariant;
 use redn_kv::serving::{FleetSpec, FleetStats, ServingFleet};
 use redn_kv::session::SessionOpts;
-use redn_kv::workload::Workload;
+use redn_kv::workload::{latency_stats, Workload};
 use rnic_sim::error::{Error, Result};
 
 /// Cluster sweep geometry.
@@ -155,15 +155,6 @@ fn fresh_keys(cluster: &Cluster, s: usize, n: usize) -> Vec<u64> {
         .collect()
 }
 
-fn p99(lat_us: &mut [f64]) -> f64 {
-    if lat_us.is_empty() {
-        return 0.0;
-    }
-    lat_us.sort_by(|a, b| a.partial_cmp(b).expect("finite latency"));
-    let idx = ((lat_us.len() - 1) as f64 * 0.99).round() as usize;
-    lat_us[idx]
-}
-
 /// The sharded read path: deploy the cluster, run one closed-loop
 /// [`ServingFleet`] per node over its own key partition, merge.
 pub fn cluster_read_point(cfg: &ClusterSweepConfig) -> Result<ClusterPoint> {
@@ -229,7 +220,7 @@ pub fn failover_point(cfg: &ClusterSweepConfig) -> Result<FailoverPoint> {
 
     // Steady stream of acked puts; host-cost deltas measured after the
     // first full window has warmed the chain.
-    let mut lat_us = Vec::new();
+    let mut lat = Vec::new();
     let mut acked: Vec<(u64, Vec<u8>)> = Vec::new();
     let warm = (cfg.put_depth as usize).min(cfg.steady_puts);
     let mut db0 = sim.node_doorbells(primary);
@@ -243,7 +234,7 @@ pub fn failover_point(cfg: &ClusterSweepConfig) -> Result<FailoverPoint> {
         let t0 = sim.now();
         let value = vec![(key & 0xFF) as u8; cfg.value_len as usize];
         let ack = session.put_blocking(&mut sim, &cluster, key, &value)?;
-        lat_us.push((ack.at - t0).as_us_f64());
+        lat.push(ack.at - t0);
         if i >= warm {
             measured_puts += 1;
         }
@@ -281,7 +272,7 @@ pub fn failover_point(cfg: &ClusterSweepConfig) -> Result<FailoverPoint> {
         let t0 = sim.now();
         let value = vec![(key & 0xFF) as u8; cfg.value_len as usize];
         let ack = session.put_blocking(&mut sim, &cluster, key, &value)?;
-        lat_us.push((ack.at - t0).as_us_f64());
+        lat.push(ack.at - t0);
         acked.push((key, value));
     }
 
@@ -295,7 +286,7 @@ pub fn failover_point(cfg: &ClusterSweepConfig) -> Result<FailoverPoint> {
     }
 
     Ok(FailoverPoint {
-        steady_p99_us: p99(&mut lat_us),
+        steady_p99_us: latency_stats(&lat).p99_us,
         blip_us,
         detection_us,
         promote_us: report.promote_us(),

@@ -25,6 +25,7 @@ use redn_core::ctx::OffloadCtx;
 use redn_core::offloads::hash_lookup::HashGetVariant;
 use rnic_sim::error::Result;
 use rnic_sim::ids::ProcessId;
+use rnic_sim::json::Json;
 
 use redn_kv::liststore::ListStore;
 use redn_kv::memcached::MemcachedServer;
@@ -32,7 +33,7 @@ use redn_kv::serving::{
     sync_baseline_ops_per_sec, FleetSpec, FleetStats, ServiceSpec, ServingFleet,
 };
 use redn_kv::session::{Session, SessionOpts};
-use redn_kv::workload::Workload;
+use redn_kv::workload::{LatencyStats, Workload};
 
 use crate::clusterbench::{ClusterPoint, FailoverPoint};
 use crate::tenantbench::{NoisyNeighborPoint, TenantsPoint};
@@ -230,209 +231,182 @@ impl ThroughputReport {
             })
     }
 
-    /// Serialize as the `BENCH_throughput.json` artifact (hand-rolled —
-    /// the workspace is offline and carries no serde). Open-loop rows
-    /// carry two latency distributions: `avg/p50/p99` are charged from
-    /// the *scheduled* time (client-side queueing included), the
-    /// `service_*` keys from the actual post time.
+    /// Serialize as the `BENCH_throughput.json` artifact (the
+    /// [`Json::document`] layout). Open-loop rows carry two latency
+    /// distributions: `avg/p50/p99` are charged from the *scheduled*
+    /// time (client-side queueing included), the `service_*` keys from
+    /// the actual post time.
     pub fn to_json(&self) -> String {
-        let lat = |s: &FleetStats| -> String {
-            match s.latency {
-                Some(l) => format!(
-                    "\"avg_us\":{:.3},\"p50_us\":{:.3},\"p99_us\":{:.3}",
-                    l.avg_us, l.p50_us, l.p99_us
-                ),
-                None => "\"avg_us\":null,\"p50_us\":null,\"p99_us\":null".to_string(),
-            }
+        // Fixed decimals: 1 for rates, 2 for speedups, 3 for latencies
+        // and ratios, 4 for per-op host costs.
+        let d1 = |v: f64| Json::fixed(v, 1);
+        let d2 = |v: f64| Json::fixed(v, 2);
+        let d3 = |v: f64| Json::fixed(v, 3);
+        let d4 = |v: f64| Json::fixed(v, 4);
+        let per_op = |n: u64, ops: u64| d4(n as f64 / ops.max(1) as f64);
+        let lat = |row: Json, [avg, p50, p99]: [&'static str; 3], l: Option<LatencyStats>| {
+            row.field(avg, l.map(|l| d3(l.avg_us)))
+                .field(p50, l.map(|l| d3(l.p50_us)))
+                .field(p99, l.map(|l| d3(l.p99_us)))
         };
-        let service_lat = |s: &FleetStats| -> String {
-            match s.service_latency {
-                Some(l) => format!(
-                    "\"service_avg_us\":{:.3},\"service_p50_us\":{:.3},\"service_p99_us\":{:.3}",
-                    l.avg_us, l.p50_us, l.p99_us
-                ),
-                None => "\"service_avg_us\":null,\"service_p50_us\":null,\"service_p99_us\":null"
-                    .to_string(),
-            }
+        let sched = ["avg_us", "p50_us", "p99_us"];
+        let host = |row: Json, s: &FleetStats| {
+            row.field("host_arm_calls", s.host_arm_calls)
+                .field("server_doorbells", s.server_doorbells)
+                .field("server_posts", s.server_posts)
+                .field("client_doorbells", s.client_doorbells)
         };
-        let host = |s: &FleetStats| -> String {
-            format!(
-                "\"host_arm_calls\":{},\"server_doorbells\":{},\"server_posts\":{},\"client_doorbells\":{}",
-                s.host_arm_calls, s.server_doorbells, s.server_posts, s.client_doorbells
-            )
-        };
-        let mut out = String::from("{\n");
-        out.push_str(&format!(
-            "  \"config\": {{\"clients\":{},\"pipeline_depth\":{},\"ops_per_client\":{},\"nkeys\":{},\"value_len\":{},\"self_recycling\":{}}},\n",
-            self.config.clients,
-            self.config.pipeline_depth,
-            self.config.ops_per_client,
-            self.config.nkeys,
-            self.config.value_len,
-            self.config.self_recycling
-        ));
-        out.push_str(&format!(
-            "  \"sync_baseline_ops_per_sec\": {:.1},\n",
-            self.sync_baseline_ops_per_sec
-        ));
-        out.push_str(&format!(
-            "  \"best_closed_loop_ops_per_sec\": {:.1},\n",
-            self.best_closed_ops_per_sec()
-        ));
-        out.push_str(&format!(
-            "  \"speedup_vs_sync\": {:.2},\n",
-            self.speedup_vs_sync()
-        ));
+        let c = &self.config;
+        let config = Json::obj()
+            .field("clients", c.clients)
+            .field("pipeline_depth", c.pipeline_depth)
+            .field("ops_per_client", c.ops_per_client)
+            .field("nkeys", c.nkeys)
+            .field("value_len", c.value_len)
+            .field("self_recycling", c.self_recycling);
+        let (sync, best) = (
+            self.sync_baseline_ops_per_sec,
+            self.best_closed_ops_per_sec(),
+        );
+        let mut doc = Json::obj()
+            .field("config", config)
+            .field("sync_baseline_ops_per_sec", d1(sync))
+            .field("best_closed_loop_ops_per_sec", d1(best))
+            .field("speedup_vs_sync", d2(self.speedup_vs_sync()));
         if let Some((arms, sdb, sposts, cdb)) = self.steady_state() {
-            out.push_str(&format!(
-                "  \"steady_state\": {{\"host_arm_calls_per_op\":{arms:.4},\"server_doorbells_per_op\":{sdb:.4},\"server_posts_per_op\":{sposts:.4},\"client_doorbells_per_op\":{cdb:.4}}},\n",
-            ));
+            let row = Json::obj()
+                .field("host_arm_calls_per_op", d4(arms))
+                .field("server_doorbells_per_op", d4(sdb))
+                .field("server_posts_per_op", d4(sposts))
+                .field("client_doorbells_per_op", d4(cdb));
+            doc = doc.field("steady_state", row);
         }
         if !self.verbs_per_op.is_empty() {
-            let rows: Vec<String> = self
-                .verbs_per_op
-                .iter()
-                .map(|v| {
-                    format!(
-                        "\"{}\":{{\"before\":{:.3},\"after\":{:.3}}}",
-                        v.name, v.before, v.after
-                    )
-                })
-                .collect();
-            out.push_str(&format!("  \"verbs_per_op\": {{{}}},\n", rows.join(",")));
+            let rows = self.verbs_per_op.iter().fold(Json::obj(), |rows, v| {
+                let row = Json::obj().field("before", d3(v.before));
+                rows.field(v.name, row.field("after", d3(v.after)))
+            });
+            doc = doc.field("verbs_per_op", rows);
         }
         if let Some(p) = &self.host_armed {
-            out.push_str(&format!(
-                "  \"host_armed_comparison\": {{\"k\":{},\"ops_per_sec\":{:.1},{}}},\n",
-                p.k,
-                p.stats.ops_per_sec,
-                host(&p.stats)
-            ));
+            let row = Json::obj()
+                .field("k", p.k)
+                .field("ops_per_sec", d1(p.stats.ops_per_sec));
+            doc = doc.field("host_armed_comparison", host(row, &p.stats));
         }
         if let Some(m) = &self.mixed {
-            let ops = m.stats.ops.max(1) as f64;
-            out.push_str(&format!(
-                "  \"mixed\": {{\"k\":{},\"get_clients\":{},\"walk_clients\":{},\"walk_max_nodes\":{},\"ops\":{},\"get_ops\":{},\"walk_ops\":{},\"ops_per_sec\":{:.1},\"speedup_vs_sync\":{:.2},\"get_arm_calls_per_op\":{:.4},\"walk_arm_calls_per_op\":{:.4},{},{},\"timeouts\":{}}},\n",
-                m.k,
-                m.get_clients,
-                m.walk_clients,
-                self.config.walk_max_nodes,
-                m.stats.ops,
-                m.stats.get_ops,
-                m.stats.walk_ops,
-                m.stats.ops_per_sec,
-                self.mixed_speedup_vs_sync().expect("mixed point present"),
-                m.stats.get_arm_calls as f64 / ops,
-                m.stats.walk_arm_calls as f64 / ops,
-                lat(&m.stats),
-                host(&m.stats),
-                m.stats.timeouts
-            ));
+            let s = &m.stats;
+            let row = Json::obj()
+                .field("k", m.k)
+                .field("get_clients", m.get_clients)
+                .field("walk_clients", m.walk_clients)
+                .field("walk_max_nodes", c.walk_max_nodes)
+                .field("ops", s.ops)
+                .field("get_ops", s.get_ops)
+                .field("walk_ops", s.walk_ops)
+                .field("ops_per_sec", d1(s.ops_per_sec))
+                .field("speedup_vs_sync", self.mixed_speedup_vs_sync().map(d2))
+                .field("get_arm_calls_per_op", per_op(s.get_arm_calls, s.ops))
+                .field("walk_arm_calls_per_op", per_op(s.walk_arm_calls, s.ops));
+            let row = host(lat(row, sched, s.latency), s).field("timeouts", s.timeouts);
+            doc = doc.field("mixed", row);
         }
-        out.push_str("  \"closed_loop\": [\n");
-        for (i, p) in self.closed.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"k\":{},\"ops\":{},\"ops_per_sec\":{:.1},{},{},\"timeouts\":{}}}{}\n",
-                p.k,
-                p.stats.ops,
-                p.stats.ops_per_sec,
-                lat(&p.stats),
-                host(&p.stats),
-                p.stats.timeouts,
-                if i + 1 < self.closed.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ],\n  \"open_loop\": [\n");
-        for (i, p) in self.open.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"offered_ops_per_sec\":{:.1},\"achieved_ops_per_sec\":{:.1},\"ops\":{},{},{},\"timeouts\":{}}}{}\n",
-                p.offered,
-                p.stats.ops_per_sec,
-                p.stats.ops,
-                lat(&p.stats),
-                service_lat(&p.stats),
-                p.stats.timeouts,
-                if i + 1 < self.open.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ]");
+        let closed: Json = self
+            .closed
+            .iter()
+            .map(|p| {
+                let row = Json::obj()
+                    .field("k", p.k)
+                    .field("ops", p.stats.ops)
+                    .field("ops_per_sec", d1(p.stats.ops_per_sec));
+                host(lat(row, sched, p.stats.latency), &p.stats).field("timeouts", p.stats.timeouts)
+            })
+            .collect();
+        let service = ["service_avg_us", "service_p50_us", "service_p99_us"];
+        let open: Json = self
+            .open
+            .iter()
+            .map(|p| {
+                let row = Json::obj()
+                    .field("offered_ops_per_sec", d1(p.offered))
+                    .field("achieved_ops_per_sec", d1(p.stats.ops_per_sec))
+                    .field("ops", p.stats.ops);
+                let row = lat(row, sched, p.stats.latency);
+                lat(row, service, p.stats.service_latency).field("timeouts", p.stats.timeouts)
+            })
+            .collect();
+        doc = doc.field("closed_loop", closed).field("open_loop", open);
         if let Some(t) = &self.tenants {
-            let rows: Vec<String> = t
+            let per_tenant: Json = t
                 .stats
                 .per_tenant
                 .iter()
                 .map(|ts| {
-                    format!(
-                        "{{\"name\":\"{}\",\"ops\":{},\"ops_per_sec\":{:.1},\"host_arm_calls\":{},\"p99_us\":{},\"shed_posts\":{},\"timeouts\":{}}}",
-                        ts.tenant,
-                        ts.ops,
-                        ts.ops_per_sec,
-                        ts.host_arm_calls,
-                        ts.latency
-                            .map_or_else(|| "null".to_string(), |l| format!("{:.3}", l.p99_us)),
-                        ts.shed_posts,
-                        ts.timeouts
-                    )
+                    Json::obj()
+                        .field("name", ts.tenant.as_str())
+                        .field("ops", ts.ops)
+                        .field("ops_per_sec", d1(ts.ops_per_sec))
+                        .field("host_arm_calls", ts.host_arm_calls)
+                        .field("p99_us", ts.latency.map(|l| d3(l.p99_us)))
+                        .field("shed_posts", ts.shed_posts)
+                        .field("timeouts", ts.timeouts)
                 })
                 .collect();
-            out.push_str(&format!(
-                ",\n  \"tenants\": {{\"ntenants\":{},\"k\":{},\"ops\":{},\"ops_per_sec\":{:.1},{},\"per_tenant\":[{}]}}",
-                t.ntenants,
-                t.k,
-                t.stats.ops,
-                t.stats.ops_per_sec,
-                host(&t.stats),
-                rows.join(",")
-            ));
+            let row = Json::obj()
+                .field("ntenants", t.ntenants)
+                .field("k", t.k)
+                .field("ops", t.stats.ops)
+                .field("ops_per_sec", d1(t.stats.ops_per_sec));
+            let row = host(row, &t.stats).field("per_tenant", per_tenant);
+            doc = doc.field("tenants", row);
         }
         if let Some(n) = &self.noisy_neighbor {
-            out.push_str(&format!(
-                ",\n  \"noisy_neighbor\": {{\"cap_ops_per_sec\":{:.1},\"demand_x_cap\":{:.2},\"a_ops_per_sec\":{:.1},\"a_shed_posts\":{},\"b_solo_p99_us\":{:.3},\"b_packed_p99_us\":{:.3},\"b_solo_ops_per_sec\":{:.1},\"b_packed_ops_per_sec\":{:.1},\"p99_ratio\":{:.3},\"tput_ratio\":{:.3}}}",
-                n.cap_ops_per_sec,
-                n.demand_x_cap,
-                n.a_ops_per_sec,
-                n.a_shed_posts,
-                n.b_solo_p99_us,
-                n.b_packed_p99_us,
-                n.b_solo_ops_per_sec,
-                n.b_packed_ops_per_sec,
-                n.p99_ratio,
-                n.tput_ratio
-            ));
+            let row = Json::obj()
+                .field("cap_ops_per_sec", d1(n.cap_ops_per_sec))
+                .field("demand_x_cap", d2(n.demand_x_cap))
+                .field("a_ops_per_sec", d1(n.a_ops_per_sec))
+                .field("a_shed_posts", n.a_shed_posts)
+                .field("b_solo_p99_us", d3(n.b_solo_p99_us))
+                .field("b_packed_p99_us", d3(n.b_packed_p99_us))
+                .field("b_solo_ops_per_sec", d1(n.b_solo_ops_per_sec))
+                .field("b_packed_ops_per_sec", d1(n.b_packed_ops_per_sec))
+                .field("p99_ratio", d3(n.p99_ratio))
+                .field("tput_ratio", d3(n.tput_ratio));
+            doc = doc.field("noisy_neighbor", row);
         }
-        if let Some(c) = &self.cluster {
-            let ops = c.stats.ops.max(1) as f64;
-            out.push_str(&format!(
-                ",\n  \"cluster\": {{\"nodes\":{},\"clients\":{},\"k\":{},\"ops\":{},\"ops_per_sec\":{:.1},\"host_arm_calls_per_op\":{:.4},{},{},\"timeouts\":{}}}",
-                c.nodes,
-                c.clients,
-                c.k,
-                c.stats.ops,
-                c.stats.ops_per_sec,
-                c.stats.host_arm_calls as f64 / ops,
-                lat(&c.stats),
-                host(&c.stats),
-                c.stats.timeouts
-            ));
+        if let Some(cl) = &self.cluster {
+            let s = &cl.stats;
+            let row = Json::obj()
+                .field("nodes", cl.nodes)
+                .field("clients", cl.clients)
+                .field("k", cl.k)
+                .field("ops", s.ops)
+                .field("ops_per_sec", d1(s.ops_per_sec))
+                .field("host_arm_calls_per_op", per_op(s.host_arm_calls, s.ops));
+            let row = host(lat(row, sched, s.latency), s).field("timeouts", s.timeouts);
+            doc = doc.field("cluster", row);
         }
         if let Some(f) = &self.failover {
-            out.push_str(&format!(
-                ",\n  \"failover\": {{\"steady_p99_us\":{:.3},\"blip_us\":{:.3},\"detection_us\":{:.3},\"promote_us\":{:.3},\"rereplicate_us\":{:.3},\"records_recovered\":{},\"acked_lost\":{},\"repl_verbs_per_op\":{:.3},\"repl_primary_arm_calls_per_put\":{:.4},\"repl_primary_doorbells_per_put\":{:.4},\"repl_primary_posts_per_put\":{:.4}}}",
-                f.steady_p99_us,
-                f.blip_us,
-                f.detection_us,
-                f.promote_us,
-                f.rereplicate_us,
-                f.records_recovered,
-                f.acked_lost,
-                f.repl_verbs_per_op,
+            let (arms, doorbells, posts) = (
                 f.repl_primary_arm_calls_per_put,
                 f.repl_primary_doorbells_per_put,
-                f.repl_primary_posts_per_put
-            ));
+                f.repl_primary_posts_per_put,
+            );
+            let row = Json::obj()
+                .field("steady_p99_us", d3(f.steady_p99_us))
+                .field("blip_us", d3(f.blip_us))
+                .field("detection_us", d3(f.detection_us))
+                .field("promote_us", d3(f.promote_us))
+                .field("rereplicate_us", d3(f.rereplicate_us))
+                .field("records_recovered", f.records_recovered)
+                .field("acked_lost", f.acked_lost)
+                .field("repl_verbs_per_op", d3(f.repl_verbs_per_op))
+                .field("repl_primary_arm_calls_per_put", d4(arms))
+                .field("repl_primary_doorbells_per_put", d4(doorbells))
+                .field("repl_primary_posts_per_put", d4(posts));
+            doc = doc.field("failover", row);
         }
-        out.push_str("\n}\n");
-        out
+        doc.document()
     }
 }
 

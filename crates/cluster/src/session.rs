@@ -287,11 +287,11 @@ impl PutSession {
 /// tenant, when connected multi-tenant) and one [`PutSession`] per
 /// shard, fanned out by the cluster's router.
 pub struct ClusterSession {
-    /// Get sessions, flattened `tenant * nshards + shard` (a single
-    /// untenanted lane when connected via [`ClusterSession::connect`]).
+    /// Get sessions, tenant-major: shard `s` of lane `t` at
+    /// `t * shards + s` (a single untenanted lane when connected via
+    /// [`ClusterSession::connect`]).
     gets: Vec<Session>,
     puts: Vec<PutSession>,
-    nshards: usize,
     /// Tenant lanes sharing the shards (0 = untenanted).
     ntenants: usize,
     value_len: u32,
@@ -402,7 +402,6 @@ impl ClusterSession {
         Ok(ClusterSession {
             gets,
             puts,
-            nshards: n,
             ntenants: tenants.len(),
             value_len: cluster.spec.value_len,
             isolation,
@@ -413,11 +412,6 @@ impl ClusterSession {
     /// via the single-operator [`ClusterSession::connect`]).
     pub fn ntenants(&self) -> usize {
         self.ntenants
-    }
-
-    /// The get session tenant lane `t` uses for shard `s`.
-    pub fn get_session_for(&mut self, t: usize, s: usize) -> &mut Session {
-        &mut self.gets[t * self.nshards + s]
     }
 
     /// The connect-time non-interference proof over every shard's get

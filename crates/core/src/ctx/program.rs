@@ -170,16 +170,6 @@ impl<'c> ChainProgram<'c> {
             .push(self.ctrl, OpBuild::new(Kind::Raw(wr)).label("raw ctrl"))
     }
 
-    /// Stage a raw verb on the managed action queue. The op must be
-    /// covered by an ENABLE (or declare the queue externally enabled via
-    /// the underlying program) — the verifier checks.
-    pub fn stage_action(&mut self, wr: WorkRequest) -> OpId {
-        self.p.push(
-            self.actions,
-            OpBuild::new(Kind::Raw(wr)).label("raw action"),
-        )
-    }
-
     /// The control queue (CQ ids for audit trails, ring keys for
     /// scatter targets).
     pub fn ctrl_queue(&self) -> ChainQueue {
@@ -189,12 +179,6 @@ impl<'c> ChainProgram<'c> {
     /// The managed action queue.
     pub fn action_queue(&self) -> ChainQueue {
         self.act_q
-    }
-
-    /// The underlying IR program (escape hatch for typed staging beyond
-    /// the combinators).
-    pub fn ir_mut(&mut self) -> (&mut IrProgram, QId, QId) {
-        (&mut self.p, self.ctrl, self.actions)
     }
 
     /// Table 2 verb accounting of everything staged through the

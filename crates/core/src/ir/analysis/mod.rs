@@ -37,6 +37,7 @@ pub(crate) mod hb;
 pub(crate) mod interference;
 
 use rnic_sim::error::{Error, Result};
+use rnic_sim::json::Json;
 use rnic_sim::sim::Simulator;
 
 use super::verify::{self, PatchMap};
@@ -116,65 +117,34 @@ impl AnalysisReport {
         self.diagnostics.is_empty()
     }
 
-    /// Render as a single JSON object (hand-rolled; the tree carries no
-    /// serialization dependency).
+    /// Render as a single-line JSON object ([`Json::line`]); `labels`
+    /// is left out when empty.
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(256);
-        s.push_str("{\"subject\":\"");
-        s.push_str(&json_escape(&self.subject));
-        s.push_str("\",\"programs\":");
-        s.push_str(&self.programs.to_string());
+        let mut obj = Json::obj()
+            .field("subject", self.subject.as_str())
+            .field("programs", self.programs);
         if !self.labels.is_empty() {
-            s.push_str(",\"labels\":[");
-            for (i, l) in self.labels.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                s.push('"');
-                s.push_str(&json_escape(l));
-                s.push('"');
-            }
-            s.push(']');
+            obj = obj.field(
+                "labels",
+                self.labels.iter().map(String::as_str).collect::<Json>(),
+            );
         }
-        s.push_str(",\"hb_nodes\":");
-        s.push_str(&self.hb_nodes.to_string());
-        s.push_str(",\"hb_edges\":");
-        s.push_str(&self.hb_edges.to_string());
-        s.push_str(",\"checked\":");
-        s.push_str(&self.checked.to_string());
-        s.push_str(",\"clean\":");
-        s.push_str(if self.clean() { "true" } else { "false" });
-        s.push_str(",\"diagnostics\":[");
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str("{\"rule\":\"");
-            s.push_str(d.rule.name());
-            s.push_str("\",\"message\":\"");
-            s.push_str(&json_escape(&d.message));
-            s.push_str("\"}");
-        }
-        s.push_str("]}");
-        s
+        let diagnostics: Json = self
+            .diagnostics
+            .iter()
+            .map(|d| {
+                Json::obj()
+                    .field("rule", d.rule.name())
+                    .field("message", d.message.as_str())
+            })
+            .collect();
+        obj.field("hb_nodes", self.hb_nodes)
+            .field("hb_edges", self.hb_edges)
+            .field("checked", self.checked)
+            .field("clean", self.clean())
+            .field("diagnostics", diagnostics)
+            .line()
     }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Run the per-program pass suite (happens-before + recycled induction +

@@ -60,14 +60,6 @@ impl LinearLowered {
         }
     }
 
-    /// Post every remaining queue in declaration order.
-    pub fn post_all(&mut self, sim: &mut Simulator) -> Result<()> {
-        for i in 0..self.builders.len() {
-            self.post(sim, QId(i))?;
-        }
-        Ok(())
-    }
-
     /// What the optimizer did.
     pub fn report(&self) -> PassReport {
         self.report

@@ -761,11 +761,6 @@ impl IrProgram {
         self.queue_ops[q.0].len()
     }
 
-    /// The queue an op belongs to.
-    pub fn queue_of(&self, op: OpId) -> QId {
-        self.ops[op.0].queue
-    }
-
     pub(crate) fn op(&self, id: OpId) -> &OpBuild {
         self.ops[id.0].op.as_ref().expect("op not placed")
     }

@@ -486,7 +486,6 @@ impl ReplicationBuilder {
                 lowered.lp.round_len,
             )
             .starting_at(self.start_slot),
-            fwd,
             backups: self.backups,
             report: lowered.report(),
             footprint,
@@ -510,7 +509,6 @@ pub struct ReplicationOffload {
     /// fresh chain, the recovered-record count for a post-failover
     /// rebuild).
     window: InstanceWindow,
-    fwd: Vec<ChainQueue>,
     backups: Vec<ReplicationLog>,
     report: PassReport,
     footprint: Footprint,
@@ -545,12 +543,6 @@ impl ReplicationOffload {
     /// The journals this chain replicates into.
     pub fn journals(&self) -> &[ReplicationLog] {
         &self.backups
-    }
-
-    /// The cross-node forward queues (exposed for failover drills that
-    /// inspect or re-wire the chain).
-    pub fn forward_queues(&self) -> &[ChainQueue] {
-        &self.fwd
     }
 
     /// The optimizer's before/after verb accounting for one round.

@@ -84,7 +84,6 @@ pub struct ClientEndpoint {
     /// Pipelined request/response slots (1 for synchronous endpoints).
     pub slots: u32,
     req_slot_len: u64,
-    resp_slot_len: u64,
     /// RedN-path RECV/response bookkeeping (see `reserve_response_recv`):
     /// RECVs posted, responses reaped, requests posted, requests
     /// abandoned (timed-out misses whose RECV is recycled).
@@ -130,8 +129,7 @@ impl ClientEndpoint {
         let req_len = req_slot_len * slots as u64;
         let req_buf = sim.alloc(node, req_len, 8)?;
         let req_mr = sim.register_mr(node, req_buf, req_len, Access::all())?;
-        let resp_slot_len = max_value.max(8) as u64;
-        let resp_len = resp_slot_len * slots as u64;
+        let resp_len = max_value.max(8) as u64 * slots as u64;
         let resp_buf = sim.alloc(node, resp_len, 8)?;
         let resp_mr = sim.register_mr(node, resp_buf, resp_len, Access::all())?;
         Ok(ClientEndpoint {
@@ -146,7 +144,6 @@ impl ClientEndpoint {
             resp_lkey: resp_mr.lkey,
             slots,
             req_slot_len,
-            resp_slot_len,
             recvs_posted: Cell::new(0),
             responses_reaped: Cell::new(0),
             requests_posted: Cell::new(0),
@@ -163,11 +160,6 @@ impl ClientEndpoint {
     /// trigger payload may occupy.
     pub fn req_slot_len(&self) -> u64 {
         self.req_slot_len
-    }
-
-    /// Response address of `slot` (wraps modulo the slot count).
-    pub fn resp_slot(&self, slot: u64) -> u64 {
-        self.resp_buf + (slot % self.slots as u64) * self.resp_slot_len
     }
 
     // -- Trigger-burst engine (Session::get_burst / walk_burst) -------

@@ -135,13 +135,6 @@ impl ServiceSpec {
             tenant: None,
         }
     }
-
-    /// Tag the block with its tenant index (builder style; normally done
-    /// by [`TenantPacker`]).
-    pub fn for_tenant(mut self, tenant: usize) -> ServiceSpec {
-        self.tenant = Some(tenant);
-        self
-    }
 }
 
 /// Fleet geometry: the (possibly heterogeneous) service mix, sharded

@@ -13,7 +13,7 @@
 //! wheel as the cursor approaches. See DESIGN.md "Event engine".
 
 use crate::cq::Cqe;
-use crate::ids::{CqId, NodeId, QpId, WqId};
+use crate::ids::{CqId, QpId, WqId};
 use crate::time::Time;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -473,10 +473,6 @@ impl PoolResource {
         self.busy_total
     }
 }
-
-/// Identifies a host node's core pool (newtype for readability).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CorePool(pub NodeId);
 
 #[cfg(test)]
 mod tests {

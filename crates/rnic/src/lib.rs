@@ -71,6 +71,7 @@ pub mod engine;
 pub mod error;
 pub mod host;
 pub mod ids;
+pub mod json;
 pub mod mem;
 pub mod net;
 pub mod nic;

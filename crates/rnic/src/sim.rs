@@ -401,20 +401,10 @@ impl Simulator {
         self.qps[qp.index()].node
     }
 
-    /// Node that owns a WQ.
-    pub fn node_of_wq(&self, wq: WqId) -> NodeId {
-        self.wqs[wq.index()].node
-    }
-
     /// Host-memory address of the slot WQE `idx` occupies in the SQ ring.
     /// RedN constructs aim verbs at `addr + field offset` to patch WQEs.
     pub fn sq_wqe_addr(&self, qp: QpId, idx: u64) -> u64 {
         self.wqs[self.sq_of(qp).index()].slot_addr(idx)
-    }
-
-    /// Host-memory address of the slot WQE `idx` occupies in the RQ ring.
-    pub fn rq_wqe_addr(&self, qp: QpId, idx: u64) -> u64 {
-        self.wqs[self.rq_of(qp).index()].slot_addr(idx)
     }
 
     /// Number of WQEs posted to the SQ so far (the next post gets this
@@ -456,13 +446,6 @@ impl Simulator {
     /// chains need verbs that can write into the ring.
     pub fn register_sq_ring(&mut self, qp: QpId, owner: ProcessId) -> Result<MemoryRegion> {
         let wq = &self.wqs[self.sq_of(qp).index()];
-        let (node, base, len) = (wq.node, wq.base_addr, wq.ring_bytes());
-        self.register_mr_owned(node, base, len, Access::all(), owner)
-    }
-
-    /// Register the RQ ring of `qp` (needed when chains patch RECV WQEs).
-    pub fn register_rq_ring(&mut self, qp: QpId, owner: ProcessId) -> Result<MemoryRegion> {
-        let wq = &self.wqs[self.rq_of(qp).index()];
         let (node, base, len) = (wq.node, wq.base_addr, wq.ring_bytes());
         self.register_mr_owned(node, base, len, Access::all(), owner)
     }
@@ -734,11 +717,6 @@ impl Simulator {
             .schedule(self.now, EventKind::WqAdvance { wq: sq });
     }
 
-    /// Whether a process is alive.
-    pub fn process_alive(&self, node: NodeId, pid: ProcessId) -> bool {
-        self.hosts[node.index()].is_alive(pid)
-    }
-
     /// Kernel panic: host-side execution stops; the NIC and memory keep
     /// going, so hull-owned offloads continue serving (§5.6 "OS failure").
     pub fn os_panic(&mut self, node: NodeId) {
@@ -833,11 +811,6 @@ impl Simulator {
         &self.trace
     }
 
-    /// Clear the trace buffer.
-    pub fn clear_trace(&mut self) {
-        self.trace.clear();
-    }
-
     /// Resource-utilization snapshot for a node's NIC.
     pub fn utilization(&self, node: NodeId) -> NicUtilization {
         let nic = &self.nics[node.index()];
@@ -858,12 +831,6 @@ impl Simulator {
     /// WQEs executed by one queue (includes recycled re-executions).
     pub fn wq_executed(&self, wq: WqId) -> u64 {
         self.wqs[wq.index()].stat_executed
-    }
-
-    /// Doorbells the host has rung on one QP's send queue (MMIO writes:
-    /// `ring_doorbell` plus `host_enable`).
-    pub fn qp_doorbells(&self, qp: QpId) -> u64 {
-        self.wqs[self.sq_of(qp).index()].stat_doorbells
     }
 
     /// Total doorbells the host has rung across all of a node's queues.

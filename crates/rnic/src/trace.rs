@@ -124,11 +124,6 @@ impl Trace {
         self.events.iter().filter(move |(_, e)| pred(e))
     }
 
-    /// Clear all recorded events (keeps the enabled flag).
-    pub fn clear(&mut self) {
-        self.events.clear();
-    }
-
     /// Number of recorded events.
     pub fn len(&self) -> usize {
         self.events.len()
@@ -169,8 +164,5 @@ mod tests {
             .filter(|e| matches!(e, TraceEvent::Issue { .. }))
             .collect();
         assert_eq!(fetches.len(), 1);
-        t.clear();
-        assert!(t.is_empty());
-        assert!(t.enabled());
     }
 }
